@@ -117,6 +117,10 @@ impl ApproxKernel for Streamcluster {
         if precise.is_empty() {
             return 0.0;
         }
+        #[expect(
+            clippy::float_cmp,
+            reason = "assignments are exact cluster indices stored as f64"
+        )]
         let mismatches = precise.iter().zip(approx).filter(|(a, b)| a != b).count();
         mismatches as f64 / precise.len() as f64
     }

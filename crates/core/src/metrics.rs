@@ -141,7 +141,6 @@ pub fn rmse(reference: &[f64], candidate: &[f64]) -> f64 {
 /// value. Returns `f64::INFINITY` for identical inputs.
 pub fn psnr(reference: &[f64], candidate: &[f64], peak: f64) -> f64 {
     let e = rmse(reference, candidate);
-    // anoc-lint: allow(D003): exact-zero RMSE sentinel selects infinite PSNR
     if e == 0.0 {
         f64::INFINITY
     } else {

@@ -16,11 +16,10 @@
 //! ```
 //!
 //! The historical per-figure commands (`anoc fig9`, `anoc table1`, …) keep
-//! working as aliases for `anoc run <target>`, and the per-figure binaries
-//! (`fig9` … `fig17`, `table1`, `extensions`) are thin wrappers over this
-//! module. Campaigns run on the process-wide [`crate::campaign::ExecContext`]:
-//! parallel across cells, answering repeated cells from the on-disk result
-//! cache unless `--no-cache` is given.
+//! working as aliases for `anoc run <target>`. Campaigns run on the
+//! process-wide [`crate::campaign::ExecContext`]: parallel across cells,
+//! answering repeated cells from the on-disk result cache unless
+//! `--no-cache` is given.
 
 use anoc_exec::{ResultCache, SnapshotStore};
 use anoc_traffic::{Benchmark, DestPattern};
@@ -44,6 +43,7 @@ targets:
   lz          LZ-VAXX study: threshold x workload vs DI-VAXX/FP-VAXX
   qos         per-flow QoS control loop vs worst-case-safe static threshold
   scale       kernel scaling sweep: 8x8 -> 32x32 cmesh, serial vs sharded
+              (default shards: the core count, at most 4)
   all         every table and figure in order (excludes scale)
   ablations   the sensitivity studies: fig13, fig14 and the extension study
 
@@ -52,7 +52,8 @@ options:
   --seed N      traffic/data RNG seed (default 42)
   --threads N   worker threads (default: ANOC_THREADS or all cores)
   --shards N    worker shards inside each simulation (default 1 = serial;
-                results are bit-identical for any value)
+                capped at the thread budget; results are bit-identical
+                for any value)
   --grids N     scale target only: sweep the N smallest meshes (default 3)
   --no-cache    always simulate; do not read or write the result cache
                 (also disables the warm-start snapshot store)
@@ -283,13 +284,9 @@ fn parse(argv: &[String]) -> Result<Command, String> {
     })
 }
 
-/// Installs the process-wide execution context from the CLI options.
-///
-/// When `--shards` is active every simulation multiplies the process's
-/// parallelism by its shard count, so the campaign-level worker budget is
-/// divided down with [`anoc_exec::plan_threads`] to keep `--threads` (or the
-/// machine's core count) from being oversubscribed.
-fn install_context(opts: &Opts) -> Result<(), String> {
+/// Installs the process-wide execution context from the CLI options, with
+/// `workers` campaign threads (`None` = the default count).
+fn install_context(opts: &Opts, workers: Option<usize>) -> Result<(), String> {
     let (cache, snapshots) = if opts.no_cache {
         (None, None)
     } else {
@@ -304,22 +301,45 @@ fn install_context(opts: &Opts) -> Result<(), String> {
             ),
         )
     };
-    let threads = if opts.shards > 1 {
-        let total = opts.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        Some(anoc_exec::plan_threads(total, opts.shards).0)
-    } else {
-        opts.threads
-    };
-    campaign::configure(threads, cache, snapshots);
+    campaign::configure(workers, cache, snapshots);
     let ctx = campaign::context();
     ctx.set_keep_going(opts.keep_going);
     ctx.set_checkpoint_every(opts.checkpoint_every);
     ctx.set_resume(opts.resume);
     Ok(())
+}
+
+/// Most shards the `scale` target asks for when `--shards` is not given.
+const SCALE_MAX_SHARDS: usize = 4;
+
+/// Splits the thread budget between campaign workers and the shards inside
+/// each simulation. The budget is `--threads`, else the host's `cores`.
+/// With `shards` threads serving each simulation, [`anoc_exec::plan_threads`]
+/// clamps `shards` to the budget and runs at most `budget / shards` cells at
+/// once, so `--shards` never oversubscribes the host. Returns
+/// `(campaign workers, shards)`; serial runs keep the default worker count.
+fn thread_plan(threads: Option<usize>, shards: usize, cores: usize) -> (Option<usize>, usize) {
+    if shards <= 1 {
+        return (threads, 1);
+    }
+    let (workers, shards) = anoc_exec::plan_threads(threads.unwrap_or(cores), shards);
+    (Some(workers), shards)
+}
+
+/// Applies [`thread_plan`] for this host to `opts`, asking for `--shards`,
+/// else `default_shards`; returns the campaign worker count.
+fn plan_host_threads(opts: &mut Opts, default_shards: usize) -> Option<usize> {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let requested = if opts.shards > 1 {
+        opts.shards
+    } else {
+        default_shards
+    };
+    let (workers, shards) = thread_plan(opts.threads, requested, cores);
+    opts.shards = shards;
+    workers
 }
 
 /// The configuration for one target: its default cycle budget unless
@@ -338,8 +358,16 @@ fn config(opts: &Opts, default_cycles: u64) -> SystemConfig {
 
 fn execute(cmd: Command) -> Result<(), String> {
     match cmd {
-        Command::Run { target, opts } => {
-            install_context(&opts)?;
+        Command::Run { target, mut opts } => {
+            // `scale` compares serial against sharded, so it shards by
+            // default: up to SCALE_MAX_SHARDS, capped at the core count.
+            let default_shards = if target == "scale" {
+                SCALE_MAX_SHARDS
+            } else {
+                1
+            };
+            let workers = plan_host_threads(&mut opts, default_shards);
+            install_context(&opts, workers)?;
             let outcome = match target.as_str() {
                 "all" => TARGETS.iter().try_for_each(|t| {
                     println!("==== {t} ====");
@@ -396,8 +424,14 @@ fn execute(cmd: Command) -> Result<(), String> {
             println!("cleared {snaps} snapshots from {}", store.dir().display());
             Ok(())
         }
-        Command::Capture { opts } => capture(&opts),
-        Command::Replay { opts } => replay(&opts),
+        Command::Capture { mut opts } => {
+            plan_host_threads(&mut opts, 1);
+            capture(&opts)
+        }
+        Command::Replay { mut opts } => {
+            plan_host_threads(&mut opts, 1);
+            replay(&opts)
+        }
         Command::Lint { .. } => unreachable!("lint is dispatched in run_argv"),
     }
 }
@@ -647,7 +681,7 @@ fn scale(opts: &Opts) -> Result<(), String> {
     use anoc_noc::{NocConfig, NocSim, NodeCodec};
     use std::time::Instant;
 
-    let shards = if opts.shards > 1 { opts.shards } else { 4 };
+    let shards = opts.shards;
     let cycles = if opts.cycles == 0 { 2_000 } else { opts.cycles };
     let grids: &[(usize, usize)] = &[(8, 8), (16, 16), (32, 32)];
     let grids = &grids[..opts.grids.min(grids.len())];
@@ -848,6 +882,23 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         assert!(parse_strs(&["run", "scale", "--shards"]).is_err());
+    }
+
+    #[test]
+    fn shards_never_exceed_the_thread_budget() {
+        // Serial runs keep the default campaign worker count.
+        assert_eq!(thread_plan(None, 1, 2), (None, 1));
+        assert_eq!(thread_plan(Some(3), 1, 2), (Some(3), 1));
+        // `--shards 4` on 2 cores: 2 shards, one cell at a time.
+        assert_eq!(thread_plan(None, 4, 2), (Some(1), 2));
+        assert_eq!(thread_plan(None, 4, 1), (Some(1), 1));
+        assert_eq!(thread_plan(None, 2, 8), (Some(4), 2));
+        // An explicit `--threads` is the budget, whatever the core count.
+        assert_eq!(thread_plan(Some(8), 4, 2), (Some(2), 4));
+        // The `scale` default: SCALE_MAX_SHARDS capped at the core count.
+        for (cores, shards) in [(1, 1), (2, 2), (3, 3), (4, 4), (16, 4)] {
+            assert_eq!(thread_plan(None, SCALE_MAX_SHARDS, cores).1, shards);
+        }
     }
 
     #[test]

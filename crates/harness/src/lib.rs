@@ -31,7 +31,6 @@
 //! assert!(result.data_quality() > 0.9);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;

@@ -46,7 +46,7 @@ pub struct Token {
 }
 
 /// An inline suppression directive:
-/// `// anoc-lint: allow(D002): iteration order never observed`.
+/// `// anoc-lint: allow(X001): iteration order never observed`.
 ///
 /// It silences the listed rules on its own line and on the following line,
 /// so it can trail the offending expression or sit just above it.
@@ -707,32 +707,32 @@ mod tests {
 
     #[test]
     fn suppression_directive_parses() {
-        let l = lex("let x = 1; // anoc-lint: allow(D002): bounded test helper\n");
+        let l = lex("let x = 1; // anoc-lint: allow(X001): bounded test helper\n");
         assert_eq!(l.suppressions.len(), 1);
         let s = &l.suppressions[0];
         assert_eq!(s.line, 1);
-        assert_eq!(s.rules, vec!["D002"]);
+        assert_eq!(s.rules, vec!["X001"]);
         assert_eq!(s.reason, "bounded test helper");
-        assert!(l.is_suppressed("D002", 1));
-        assert!(l.is_suppressed("D002", 2));
-        assert!(!l.is_suppressed("D002", 3));
-        assert!(!l.is_suppressed("C001", 1));
+        assert!(l.is_suppressed("X001", 1));
+        assert!(l.is_suppressed("X001", 2));
+        assert!(!l.is_suppressed("X001", 3));
+        assert!(!l.is_suppressed("C003", 1));
     }
 
     #[test]
     fn suppression_multiple_rules() {
-        let l = lex("// anoc-lint: allow(C001, D003): invariant holds by construction\n");
-        assert_eq!(l.suppressions[0].rules, vec!["C001", "D003"]);
+        let l = lex("// anoc-lint: allow(C003, D004): invariant holds by construction\n");
+        assert_eq!(l.suppressions[0].rules, vec!["C003", "D004"]);
     }
 
     #[test]
     fn malformed_suppressions_are_reported() {
         for bad in [
-            "// anoc-lint: allow(D002)",          // missing reason
-            "// anoc-lint: allow(D002):   ",      // empty reason
+            "// anoc-lint: allow(X001)",          // missing reason
+            "// anoc-lint: allow(X001):   ",      // empty reason
             "// anoc-lint: allow(): why",         // empty rule list
-            "// anoc-lint: allow(D002: no close", // unclosed paren
-            "// anoc-lint: deny(D002): nope",     // unknown verb
+            "// anoc-lint: allow(X001: no close", // unclosed paren
+            "// anoc-lint: deny(X001): nope",     // unknown verb
         ] {
             let l = lex(bad);
             assert_eq!(l.suppressions.len(), 0, "{bad}");
@@ -784,7 +784,7 @@ mod tests {
     #[test]
     fn doc_comments_and_prose_are_not_directives() {
         for ignored in [
-            "/// Suppress with `// anoc-lint: allow(D002)` and a reason.",
+            "/// Suppress with `// anoc-lint: allow(X001)` and a reason.",
             "//! The `anoc-lint: allow(...)` syntax is described here.",
             "// see the anoc-lint: allow() docs", // body does not start with anoc-lint:
         ] {

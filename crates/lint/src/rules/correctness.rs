@@ -1,75 +1,10 @@
-//! The correctness family: C001–C003.
+//! The correctness family: C003. (Panicking calls and `unsafe` are checked
+//! by clippy's `unwrap_used`/`expect_used`/`panic` and rustc's
+//! `unsafe_code`; see DESIGN.md §6.)
 
 use super::{rule, FileContext, Violation};
 use crate::lexer::{Lexed, TokKind};
-use crate::syntax::{attribute_at, ItemTree};
-
-/// C001 — library code must surface errors, not abort.
-pub(super) fn check_c001(
-    ctx: &FileContext,
-    lexed: &Lexed,
-    tree: &ItemTree,
-    out: &mut Vec<Violation>,
-) {
-    if ctx.is_bin {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || tree.in_test(t.line) {
-            continue;
-        }
-        let next_is = |s: &str| toks.get(i + 1).map(|n| n.text == s).unwrap_or(false);
-        let prev = i.checked_sub(1).and_then(|p| toks.get(p));
-        match t.text.as_str() {
-            "unwrap" | "expect" if prev.map(|p| p.text == ".").unwrap_or(false) && next_is("(") => {
-                out.push(Violation {
-                    rule: rule("C001"),
-                    line: t.line,
-                    message: format!(
-                        "`.{}()` in sim-critical library code; return a Result or \
-                         document the invariant with an allow",
-                        t.text
-                    ),
-                });
-            }
-            "panic" if next_is("!") => {
-                out.push(Violation {
-                    rule: rule("C001"),
-                    line: t.line,
-                    message: "`panic!` in sim-critical library code; return a Result or \
-                              document the invariant with an allow"
-                        .into(),
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
-/// C002: the crate root must open with `#![forbid(unsafe_code)]`.
-pub(super) fn check_c002(lexed: &Lexed, out: &mut Vec<Violation>) {
-    let toks = &lexed.tokens;
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].text == "#" {
-            if let Some((attr, after)) = attribute_at(toks, i) {
-                let texts: Vec<&str> = attr.iter().map(|t| t.text.as_str()).collect();
-                if texts == ["forbid", "(", "unsafe_code", ")"] {
-                    return;
-                }
-                i = after;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out.push(Violation {
-        rule: rule("C002"),
-        line: 1,
-        message: "crate root is missing `#![forbid(unsafe_code)]`".into(),
-    });
-}
+use crate::syntax::ItemTree;
 
 /// File basenames whose whole content is a stats-accumulation path.
 const STATS_FILES: [&str; 4] = ["stats.rs", "histogram.rs", "metrics.rs", "progress.rs"];
@@ -155,55 +90,6 @@ pub(super) fn check_c003(
 mod tests {
     use super::super::tests::{check_src, ids, sim_ctx};
     use super::super::FileContext;
-
-    #[test]
-    fn c001_hits_suppresses_and_passes() {
-        let ctx = sim_ctx();
-        assert_eq!(ids(&check_src(&ctx, "let v = x.unwrap();")), vec!["C001"]);
-        assert_eq!(
-            ids(&check_src(&ctx, "let v = x.expect(\"invariant\");")),
-            vec!["C001"]
-        );
-        assert_eq!(ids(&check_src(&ctx, "panic!(\"boom\");")), vec!["C001"]);
-        assert!(check_src(
-            &ctx,
-            "let v = x.expect(\"q\"); // anoc-lint: allow(C001): slot is live by construction"
-        )
-        .is_empty());
-        // unwrap_or / unwrap_or_default are fine.
-        assert!(check_src(&ctx, "let v = x.unwrap_or(0).min(y.unwrap_or_default());").is_empty());
-        // Test modules and test files may panic.
-        assert!(check_src(
-            &ctx,
-            "#[cfg(test)]\nmod tests {\n #[test]\n fn t() { x.unwrap(); panic!(\"in test\"); }\n}"
-        )
-        .is_empty());
-        let test_file = FileContext {
-            is_test_file: true,
-            ..sim_ctx()
-        };
-        assert!(check_src(&test_file, "fn t() { x.unwrap(); }").is_empty());
-        let bin = FileContext {
-            is_bin: true,
-            ..sim_ctx()
-        };
-        assert!(check_src(&bin, "x.unwrap();").is_empty());
-    }
-
-    #[test]
-    fn c002_hits_and_passes() {
-        let root = FileContext {
-            is_crate_root: true,
-            ..FileContext::default()
-        };
-        assert_eq!(
-            ids(&check_src(&root, "//! Docs only.\npub fn f() {}")),
-            vec!["C002"]
-        );
-        assert!(check_src(&root, "//! Docs.\n#![forbid(unsafe_code)]\npub fn f() {}").is_empty());
-        // Non-root files are not required to carry the attribute.
-        assert!(check_src(&sim_ctx(), "pub fn f() {}").is_empty());
-    }
 
     fn stats_ctx() -> FileContext {
         FileContext {

@@ -1,13 +1,14 @@
-//! The hygiene family: L000 and H001.
+//! The hygiene family: L000. (Printing from library code is clippy's
+//! `print_stdout`/`print_stderr`; see DESIGN.md §6.)
 
-use super::{rule, FileContext, Violation};
-use crate::lexer::{Lexed, TokKind};
+use super::{rule, Violation, RULES};
+use crate::lexer::Lexed;
 use crate::syntax::ItemTree;
 
 /// L000 — every defect in the directive/scope layer itself: malformed
-/// `anoc-lint:` comments, `phase()` annotations with no `fn` to bind to,
-/// and unbalanced braces (which would silently mis-scope every other
-/// rule). Runs on every file, test trees included, so a typo'd directive
+/// `anoc-lint:` comments, `allow()` lists naming no rule in [`RULES`],
+/// `phase()` annotations with no `fn` to bind to, and unbalanced braces
+/// (which would silently mis-scope every other rule). Runs on every file, test trees included, so a typo'd directive
 /// never fails open.
 pub(super) fn check_l000(lexed: &Lexed, tree: &ItemTree, out: &mut Vec<Violation>) {
     for m in &lexed.malformed {
@@ -16,6 +17,20 @@ pub(super) fn check_l000(lexed: &Lexed, tree: &ItemTree, out: &mut Vec<Violation
             line: m.line,
             message: format!("malformed anoc-lint directive: {}", m.detail),
         });
+    }
+    for s in &lexed.suppressions {
+        for id in &s.rules {
+            if !RULES.iter().any(|r| r.id == id) {
+                out.push(Violation {
+                    rule: rule("L000"),
+                    line: s.line,
+                    message: format!(
+                        "`allow({id})` names no anoc-lint rule; suppress a clippy \
+                         lint with `#[expect(clippy::<lint>, reason = \"...\")]`"
+                    ),
+                });
+            }
+        }
     }
     for &line in &tree.dangling_phase {
         out.push(Violation {
@@ -33,69 +48,28 @@ pub(super) fn check_l000(lexed: &Lexed, tree: &ItemTree, out: &mut Vec<Violation
     }
 }
 
-/// H001 — output flows through stats/progress, never stdout. Library code
-/// only: bins, test scopes and test-tree files may print.
-pub(super) fn check_h001(
-    ctx: &FileContext,
-    lexed: &Lexed,
-    tree: &ItemTree,
-    out: &mut Vec<Violation>,
-) {
-    if ctx.is_bin || ctx.is_test_file {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || tree.in_test(t.line) {
-            continue;
-        }
-        let next_is_bang = toks.get(i + 1).map(|n| n.text == "!").unwrap_or(false);
-        if (t.text == "println" || t.text == "eprintln") && next_is_bang {
-            out.push(Violation {
-                rule: rule("H001"),
-                line: t.line,
-                message: format!(
-                    "`{}!` in sim-critical library code; emit through stats or \
-                     the progress reporter",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests::{check_src, ids, sim_ctx};
     use super::super::Severity;
 
     #[test]
-    fn h001_hits_suppresses_and_passes() {
-        let ctx = sim_ctx();
-        assert_eq!(
-            ids(&check_src(&ctx, "println!(\"latency {x}\");")),
-            vec!["H001"]
-        );
-        assert_eq!(ids(&check_src(&ctx, "eprintln!(\"warn\");")), vec!["H001"]);
-        assert!(check_src(
-            &ctx,
-            "eprintln!(\"x\"); // anoc-lint: allow(H001): debug hook behind env var"
-        )
-        .is_empty());
-        assert!(check_src(
-            &ctx,
-            "#[cfg(test)]\nmod tests { fn f() { println!(\"dbg\"); } }"
-        )
-        .is_empty());
-        // format!/write! are fine.
-        assert!(check_src(&ctx, "let s = format!(\"{x}\");").is_empty());
+    fn l000_malformed_directive_is_an_error() {
+        let vs = check_src(&sim_ctx(), "// anoc-lint: allow(X001)\nlet m = 1;");
+        assert_eq!(ids(&vs), vec!["L000"]);
+        assert_eq!(vs[0].rule.severity, Severity::Error);
     }
 
     #[test]
-    fn l000_malformed_directive_is_an_error() {
-        let vs = check_src(&sim_ctx(), "// anoc-lint: allow(D002)\nlet m = 1;");
+    fn l000_unknown_rule_in_allow_is_an_error() {
+        // D002 moved to clippy's `disallowed_types`: a stale allow for it
+        // must not linger silently.
+        let stale = "D002";
+        let src =
+            format!("// anoc-lint: allow({stale}, X001): ordering never observed\nlet m = 1;");
+        let vs = check_src(&sim_ctx(), &src);
         assert_eq!(ids(&vs), vec!["L000"]);
-        assert_eq!(vs[0].rule.severity, Severity::Error);
+        assert!(vs[0].message.contains(stale));
     }
 
     #[test]

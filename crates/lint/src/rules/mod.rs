@@ -10,17 +10,15 @@
 //!
 //! | id   | severity | family      | checks |
 //! |------|----------|-------------|--------|
-//! | L000 | error    | hygiene     | malformed `anoc-lint:` directive, dangling `phase()`, unbalanced braces |
-//! | D001 | error    | determinism | `Instant::now` / `SystemTime` / `thread_rng` in a sim-critical crate |
-//! | D002 | error    | determinism | `HashMap` / `HashSet` in a sim-critical crate |
-//! | D003 | warning  | determinism | float `==` / `!=` against a float literal (non-test code) |
-//! | D004 | error    | determinism | RNG construction outside a `rng-site`-annotated seeded-Pcg32 site |
+//! | L000 | error    | hygiene     | malformed or unknown-rule `anoc-lint:` directive, dangling `phase()`, unbalanced braces |
+//! | D004 | error    | determinism | ambient entropy, or RNG construction outside a `rng-site`-annotated seeded-Pcg32 site |
 //! | D005 | error    | determinism | serial-edge mutator reachable from a `phase(A)` root |
-//! | C001 | warning  | correctness | `.unwrap()` / `.expect()` / `panic!` in sim-critical library code |
-//! | C002 | error    | correctness | crate root missing `#![forbid(unsafe_code)]` |
 //! | C003 | warning  | correctness | silently-narrowing `as` cast in a stats-accumulation path |
-//! | H001 | warning  | hygiene     | `println!` / `eprintln!` in sim-critical library code |
 //! | X001 | error    | concurrency | `Ordering::Relaxed` in `anoc-exec` without an audit reason |
+//!
+//! Generic hygiene (wall clocks, hash-ordered collections, float equality,
+//! panicking calls, printing, `unsafe`) is checked by rustc and clippy with
+//! real type information; the mapping is in DESIGN.md §6.
 //!
 //! Directives (plain `//` comments, same line or the line above):
 //!
@@ -29,11 +27,10 @@
 //! * `// anoc-lint: rng-site: <reason>` — sanctions an RNG construction (D004).
 //!
 //! Rule eligibility is scope- and location-aware: files under `tests/`,
-//! `benches/` or `examples/` get the hygiene family only (H001/L000 — test
-//! helpers may freely use clocks, hash maps and unwrap, but a malformed
-//! directive must never silently fail open), C002 applies to every crate
-//! root, X001/C003 extend to `anoc-exec`, and the remaining D/C/H rules run
-//! on sim-critical crates with `#[cfg(test)]` scopes exempted per-tree.
+//! `benches/` or `examples/` get L000 only (a malformed directive must
+//! never silently fail open), X001/C003 extend to `anoc-exec`, and D004/D005
+//! run on sim-critical crates with `#[cfg(test)]` scopes exempted per-tree
+//! where the rule says so.
 
 mod concurrency;
 mod correctness;
@@ -68,26 +65,11 @@ pub struct Rule {
 }
 
 /// All rules, in report order.
-pub const RULES: [Rule; 11] = [
+pub const RULES: [Rule; 5] = [
     Rule {
         id: "L000",
         severity: Severity::Error,
         summary: "malformed anoc-lint directive or unbalanced scope",
-    },
-    Rule {
-        id: "D001",
-        severity: Severity::Error,
-        summary: "wall-clock or ambient randomness in a sim-critical crate",
-    },
-    Rule {
-        id: "D002",
-        severity: Severity::Error,
-        summary: "hash-ordered collection in a sim-critical crate",
-    },
-    Rule {
-        id: "D003",
-        severity: Severity::Warning,
-        summary: "exact float equality in stats/metrics code",
     },
     Rule {
         id: "D004",
@@ -100,24 +82,9 @@ pub const RULES: [Rule; 11] = [
         summary: "serial-edge mutator reachable from a parallel phase root",
     },
     Rule {
-        id: "C001",
-        severity: Severity::Warning,
-        summary: "panicking call in sim-critical library code",
-    },
-    Rule {
-        id: "C002",
-        severity: Severity::Error,
-        summary: "crate root missing #![forbid(unsafe_code)]",
-    },
-    Rule {
         id: "C003",
         severity: Severity::Warning,
         summary: "silently-narrowing cast in a stats-accumulation path",
-    },
-    Rule {
-        id: "H001",
-        severity: Severity::Warning,
-        summary: "direct stdout/stderr printing in sim-critical library code",
     },
     Rule {
         id: "X001",
@@ -133,11 +100,9 @@ pub fn rule(id: &str) -> &'static Rule {
         .unwrap_or_else(|| panic!("unknown rule id {id}"))
 }
 
-/// The crates whose behaviour feeds simulation statistics. Wall-clock,
-/// hash-iteration order and panics are banned here; `exec`, `harness` and
-/// the vendored `criterion`/`proptest` shims legitimately measure time and
-/// print progress, so they are exempt from the D/H rules (C002 still
-/// applies everywhere, and X001/C003 extend to `exec`).
+/// The crates whose behaviour feeds simulation statistics: D004, D005 and
+/// C003 run here (X001/C003 also cover `exec`). Their crate roots also deny
+/// the clippy hygiene lints listed in DESIGN.md §6.
 pub const SIM_CRITICAL_CRATES: [&str; 5] = ["noc", "compression", "core", "traffic", "apps"];
 
 /// Serial-edge mutators that phase-A code must never reach (DESIGN.md §10):
@@ -183,10 +148,9 @@ pub struct FileContext {
     pub sim_critical: bool,
     /// Under `tests/`, `benches/` or `examples/` — everything is test code.
     pub is_test_file: bool,
-    /// Under `src/bin/` or a `main.rs` — CLI entry points may print/panic.
+    /// Under `src/bin/` or a `main.rs` — CLI entry points, exempt from the
+    /// rng-site and narrowing audits.
     pub is_bin: bool,
-    /// A `src/lib.rs` — must carry `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
 }
 
 /// One finding, pre-suppression.
@@ -209,23 +173,14 @@ pub fn check_with(ctx: &FileContext, lexed: &Lexed, cfg: &RuleConfig) -> Vec<Vio
     let tree = syntax::build(lexed);
     let mut out = Vec::new();
     hygiene::check_l000(lexed, &tree, &mut out);
-    if ctx.is_test_file {
-        // Test trees get the hygiene family only: helpers there may freely
-        // use clocks, hash maps and unwrap, but directives are still parsed
-        // (L000) and printing is still policed by H001's own gates.
-        hygiene::check_h001(ctx, lexed, &tree, &mut out);
-        out.sort_by_key(|v| (v.line, v.rule.id));
-        return out;
-    }
-    if ctx.is_crate_root {
-        correctness::check_c002(lexed, &mut out);
-    }
-    concurrency::check_x001(ctx, lexed, &mut out);
-    correctness::check_c003(ctx, lexed, &tree, &mut out);
-    if ctx.sim_critical {
-        determinism::check(ctx, lexed, &tree, cfg, &mut out);
-        correctness::check_c001(ctx, lexed, &tree, &mut out);
-        hygiene::check_h001(ctx, lexed, &tree, &mut out);
+    // Test trees get L000 only: directives there are still parsed, so a
+    // typo'd one never fails open.
+    if !ctx.is_test_file {
+        concurrency::check_x001(ctx, lexed, &mut out);
+        correctness::check_c003(ctx, lexed, &tree, &mut out);
+        if ctx.sim_critical {
+            determinism::check(ctx, lexed, &tree, cfg, &mut out);
+        }
     }
     out.sort_by_key(|v| (v.line, v.rule.id));
     out
@@ -260,9 +215,9 @@ mod tests {
     #[test]
     fn violations_in_strings_and_comments_do_not_fire() {
         let ctx = sim_ctx();
-        assert!(check_src(&ctx, "let s = \"HashMap::new() Instant::now\";").is_empty());
-        assert!(check_src(&ctx, "// HashMap in prose\n/* x.unwrap() */").is_empty());
-        assert!(check_src(&ctx, "let s = r#\"panic!(\"x\")\"#;").is_empty());
+        assert!(check_src(&ctx, "let s = \"OsRng Pcg32::new(1, 2)\";").is_empty());
+        assert!(check_src(&ctx, "// OsRng in prose\n/* Pcg32::new(1, 2) */").is_empty());
+        assert!(check_src(&ctx, "let s = r#\"rand::random()\"#;").is_empty());
     }
 
     #[test]
@@ -271,17 +226,17 @@ mod tests {
             is_test_file: true,
             ..sim_ctx()
         };
-        // Clocks, hash maps, unwraps: all fine in a test tree.
+        // Ad-hoc RNGs and narrowing casts: all fine in a test tree.
         assert!(check_src(
             &test_file,
-            "fn t() { let m = HashMap::new(); let t = Instant::now(); x.unwrap(); }"
+            "fn t() { let r = Pcg32::seed_from_u64(1); let n = big as u32; }"
         )
         .is_empty());
         // …but a malformed directive still fails loudly.
         assert_eq!(
             ids(&check_src(
                 &test_file,
-                "// anoc-lint: allow(D002)\nfn t() {}"
+                "// anoc-lint: allow(D004)\nfn t() {}"
             )),
             vec!["L000"]
         );
@@ -292,6 +247,7 @@ mod tests {
         for r in &RULES {
             assert_eq!(rule(r.id).id, r.id);
         }
-        assert_eq!(RULES.len(), 11);
+        let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+        assert_eq!(ids, ["L000", "D004", "D005", "C003", "X001"]);
     }
 }

@@ -162,7 +162,7 @@ impl ItemTree {
 
 /// If `tokens[i]` opens an attribute (`#[...]` or `#![...]`), returns its
 /// bracketed tokens and the index just past the closing `]`.
-pub(crate) fn attribute_at(tokens: &[Token], i: usize) -> Option<(&[Token], usize)> {
+fn attribute_at(tokens: &[Token], i: usize) -> Option<(&[Token], usize)> {
     let mut j = i + 1;
     if tokens.get(j).map(|t| t.text.as_str()) == Some("!") {
         j += 1;

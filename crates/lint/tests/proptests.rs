@@ -35,8 +35,8 @@ const FRAGMENTS: [&str; 36] = [
     "#![forbid(unsafe_code)]",
     "// anoc-lint: phase(A)",
     "// anoc-lint: phase(A) trailing",
-    "// anoc-lint: allow(D001): reason given",
-    "// anoc-lint: allow(D001)",
+    "// anoc-lint: allow(D004): reason given",
+    "// anoc-lint: allow(D004)",
     "// anoc-lint: rng-site: seeded from config",
     "// anoc-lint: rng-site",
     "// plain comment with { brace",
@@ -153,15 +153,14 @@ proptest! {
     }
 
     /// The full per-file pipeline (lex → tree → every rule family) is total
-    /// under the strictest context: a sim-critical crate root.
+    /// under the strictest context: a sim-critical crate.
     #[test]
     fn lint_source_is_total_on_token_soup(src in soup()) {
         let ctx = context_for("crates/noc/src/lib.rs");
         let (violations, _suppressed) = lint_source(&ctx, &src);
         let last = src.lines().count().max(1) as u32;
         for v in &violations {
-            // C002 reports line 1 even for empty files; everything else
-            // anchors to a real token line.
+            // Every finding anchors to a real source line.
             prop_assert!(v.line >= 1 && v.line <= last.max(1));
         }
     }

@@ -1,6 +1,8 @@
-//! Self-check: the real workspace must be lint-clean. A new wall-clock
-//! read, hash-ordered collection or unannotated panic in a sim-critical
-//! crate fails this test (and CI) immediately.
+//! Self-check: the real workspace must be lint-clean. A new unannotated RNG
+//! construction, phase-A call to a serial-edge mutator, narrowing stats cast,
+//! unaudited `Ordering::Relaxed` or stale directive fails this test (and CI)
+//! immediately. Clocks, hash maps, float equality, panics, printing and
+//! `unsafe` are clippy's and rustc's to catch (DESIGN.md §6).
 
 use std::path::Path;
 

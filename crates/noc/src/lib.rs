@@ -24,7 +24,18 @@
 //! assert_eq!(delivered[0].block.as_ref().unwrap().as_i32(), vec![42; 16]);
 //! ```
 
-#![forbid(unsafe_code)]
+// Determinism and panic hygiene, checked by clippy (DESIGN.md §6). The
+// disallowed clocks and hash-ordered collections are listed in `clippy.toml`.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::float_cmp,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 #![warn(missing_docs)]
 
 pub mod config;
