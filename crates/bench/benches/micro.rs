@@ -120,36 +120,14 @@ fn bench(c: &mut Criterion) {
     // Each iteration advances 100 cycles with fresh injections, so the
     // reported time divided by 100 is the per-cycle cost at steady state.
     group.bench_function("step_4x4_cmesh_uniform_random", |b| {
-        let cfg = NocConfig::paper_4x4_cmesh();
-        let n = cfg.num_nodes();
-        let mut sim = NocSim::new(cfg, (0..n).map(|_| NodeCodec::baseline()).collect());
-        let mut rng = Pcg32::seed_from_u64(42);
-        let drive = move |sim: &mut NocSim, rng: &mut Pcg32, cycles: u64| {
-            for _ in 0..cycles {
-                for node in 0..n {
-                    let roll = rng.below(100);
-                    if roll < 4 {
-                        let mut d = rng.below(n as u32) as usize;
-                        if d == node {
-                            d = (d + 1) % n;
-                        }
-                        sim.enqueue_control(NodeId(node as u16), NodeId(d as u16));
-                    } else if roll < 5 {
-                        let mut d = rng.below(n as u32) as usize;
-                        if d == node {
-                            d = (d + 1) % n;
-                        }
-                        let block = CacheBlock::from_i32(&[roll as i32; 16]);
-                        sim.enqueue_data(NodeId(node as u16), NodeId(d as u16), block);
-                    }
-                }
-                sim.step();
-            }
-            sim.drain_delivered().len()
-        };
-        // Reach steady state before sampling.
-        drive(&mut sim, &mut rng, 2_000);
-        b.iter(|| drive(&mut sim, &mut rng, 100))
+        let (mut sim, mut drive) = uniform_random(NocConfig::paper_4x4_cmesh(), 100, 4, 5);
+        b.iter(|| drive(&mut sim, 100))
+    });
+    // The shape perfbench's `big-mesh` workload runs: a 512-node 16x16 cmesh
+    // just below saturation (about 0.08 flits/node/cycle), codec bypassed.
+    group.bench_function("step_16x16_cmesh_uniform_random", |b| {
+        let (mut sim, mut drive) = uniform_random(NocConfig::cmesh_16x16(), 1000, 30, 36);
+        b.iter(|| drive(&mut sim, 100))
     });
     group.bench_function("deliver_1000_packets", |b| {
         b.iter(|| {
@@ -170,6 +148,46 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// A baseline-codec network on `cfg` and a closure that advances it by a
+/// number of cycles under uniform-random traffic: each node and cycle rolls
+/// below `denom` and offers a control packet on a roll below `control`, a
+/// data packet on a roll below `data`. The network is brought to steady
+/// state (2 000 cycles) before it is returned.
+fn uniform_random(
+    cfg: NocConfig,
+    denom: u32,
+    control: u32,
+    data: u32,
+) -> (NocSim, impl FnMut(&mut NocSim, u64) -> usize) {
+    let n = cfg.num_nodes();
+    let mut sim = NocSim::new(cfg, (0..n).map(|_| NodeCodec::baseline()).collect());
+    let mut rng = Pcg32::seed_from_u64(42);
+    let mut drive = move |sim: &mut NocSim, cycles: u64| {
+        for _ in 0..cycles {
+            for node in 0..n {
+                let roll = rng.below(denom);
+                if roll >= data {
+                    continue;
+                }
+                let mut d = rng.below(n as u32) as usize;
+                if d == node {
+                    d = (d + 1) % n;
+                }
+                if roll < control {
+                    sim.enqueue_control(NodeId(node as u16), NodeId(d as u16));
+                } else {
+                    let block = CacheBlock::from_i32(&[roll as i32; 16]);
+                    sim.enqueue_data(NodeId(node as u16), NodeId(d as u16), block);
+                }
+            }
+            sim.step();
+        }
+        sim.drain_delivered().len()
+    };
+    drive(&mut sim, 2_000);
+    (sim, drive)
 }
 
 criterion_group!(benches, bench);

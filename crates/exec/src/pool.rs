@@ -171,22 +171,20 @@ const SLOT_READY: u8 = 1; // job staged: the worker should take it
 const SLOT_RUNNING: u8 = 2; // worker owns the item
 const SLOT_DONE: u8 = 3; // result staged: the submitter should take it
 
-/// How many `spin_loop` iterations a waiter burns before conceding the CPU.
-/// Phase gaps in the sharded cycle kernel are a few microseconds, so on a
-/// multi-core host waits almost always resolve inside the spin window and
-/// the park below is only a safety net. On a single-core host spinning is
-/// pure harm — the waiter occupies the only CPU the other side needs — so
-/// the budget collapses to zero and every wait yields immediately.
-fn spin_limit() -> u32 {
-    static LIMIT: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *LIMIT.get_or_init(|| {
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        if cpus > 1 {
-            1 << 14
-        } else {
-            0
-        }
-    })
+/// How many `spin_loop` iterations a waiter burns before conceding the CPU,
+/// when `spinning` threads may busy-wait at once on a host with `cpus`
+/// cores. Phase gaps in the sharded cycle kernel are a few microseconds, so
+/// while every spinner has a core of its own, waits almost always resolve
+/// inside the spin window and the park below is only a safety net. Once the
+/// spinners outnumber the cores, spinning is pure harm — a waiter occupies
+/// a core the thread it waits on needs — so the budget collapses to zero
+/// and every wait yields immediately.
+fn spin_budget(cpus: usize, spinning: usize) -> u32 {
+    if spinning <= cpus {
+        1 << 14
+    } else {
+        0
+    }
 }
 
 /// One worker's mailbox. The `Mutex`es are never contended (states hand
@@ -200,6 +198,8 @@ struct Slot<T> {
 
 struct SetShared<T> {
     slots: Vec<Slot<T>>,
+    /// [`spin_budget`] for the workers plus the submitting thread.
+    spin: u32,
     shutdown: std::sync::atomic::AtomicBool,
     outstanding: std::sync::atomic::AtomicUsize,
 }
@@ -223,10 +223,14 @@ pub struct WorkerSet<T: Send + 'static> {
 
 impl<T: Send + 'static> WorkerSet<T> {
     /// Spawns `workers` persistent threads (minimum 1) named `{name}-{i}`.
+    /// Waits spin only if the workers and the submitting thread all fit in
+    /// the host's cores.
     pub fn new(workers: usize, name: &str) -> Self {
         use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
         let workers = workers.max(1);
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let shared = Arc::new(SetShared {
+            spin: spin_budget(cpus, workers + 1),
             slots: (0..workers)
                 .map(|_| Slot {
                     state: AtomicU8::new(SLOT_IDLE),
@@ -256,7 +260,7 @@ impl<T: Send + 'static> WorkerSet<T> {
                                 if slot.state.load(Ordering::Acquire) == SLOT_READY {
                                     break;
                                 }
-                                if spins < spin_limit() {
+                                if spins < shared.spin {
                                     spins += 1;
                                     std::hint::spin_loop();
                                 } else {
@@ -308,7 +312,7 @@ impl<T: Send + 'static> WorkerSet<T> {
         // schedule, so this is effectively never hit by the cycle kernel).
         let mut spins = 0u32;
         while slot.state.load(Ordering::Acquire) != SLOT_IDLE {
-            if spins < spin_limit() {
+            if spins < self.shared.spin {
                 spins += 1;
                 std::hint::spin_loop();
             } else {
@@ -350,7 +354,7 @@ impl<T: Send + 'static> WorkerSet<T> {
                 }
                 return Some((tag, item));
             }
-            if spins < spin_limit() {
+            if spins < self.shared.spin {
                 spins += 1;
                 std::hint::spin_loop();
             } else {
@@ -430,6 +434,22 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn spin_budget_spins_only_while_spinners_fit_in_the_cores() {
+        // One worker plus the submitting thread on two cores: both spin.
+        assert!(spin_budget(2, 2) > 0);
+        assert!(spin_budget(8, 5) > 0);
+        // A single core never spins: a set has at least one worker, so two
+        // threads always share it.
+        assert_eq!(spin_budget(1, 2), 0);
+        // Four shards (three workers plus the stepper) on two cores: the
+        // oversubscribed case must yield, not busy-wait.
+        assert_eq!(spin_budget(2, 4), 0);
+        assert_eq!(spin_budget(2, 3), 0);
+        // Exactly filling the cores still spins.
+        assert_eq!(spin_budget(4, 4), spin_budget(2, 2));
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {

@@ -1,5 +1,61 @@
 //! NoC configuration (the knobs of Table 1).
 
+/// Most virtual channels per port: the router keeps per-port VC bitmasks in
+/// a `u32`.
+pub const MAX_VCS: usize = 32;
+
+/// Most ports per router (four mesh directions plus the concentration): the
+/// allocator keeps per-router port bitmasks in a `u64`.
+pub const MAX_PORTS: usize = 64;
+
+/// Why a [`NocConfig`] is structurally unsound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The mesh has zero width or height.
+    EmptyMesh,
+    /// No node is attached to a router.
+    ZeroConcentration,
+    /// No virtual channel per port.
+    NoVirtualChannels,
+    /// VC buffers hold no flit.
+    ZeroVcBuffer,
+    /// Flits are zero bits wide.
+    ZeroFlitWidth,
+    /// More nodes than 16-bit node ids can name.
+    TooManyNodes(usize),
+    /// More virtual channels per port than [`MAX_VCS`].
+    TooManyVcs(usize),
+    /// More ports per router than [`MAX_PORTS`].
+    TooManyPorts(usize),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::EmptyMesh => write!(f, "mesh dimensions must be positive"),
+            ConfigError::ZeroConcentration => write!(f, "concentration must be positive"),
+            ConfigError::NoVirtualChannels => {
+                write!(f, "at least one virtual channel is required")
+            }
+            ConfigError::ZeroVcBuffer => write!(f, "VC buffers must hold at least one flit"),
+            ConfigError::ZeroFlitWidth => write!(f, "flit width must be positive"),
+            ConfigError::TooManyNodes(n) => write!(f, "{n} nodes, but node ids are 16-bit"),
+            ConfigError::TooManyVcs(n) => {
+                write!(
+                    f,
+                    "{n} virtual channels per port, at most {MAX_VCS} supported"
+                )
+            }
+            ConfigError::TooManyPorts(n) => write!(
+                f,
+                "{n} ports per router (4 + concentration), at most {MAX_PORTS} supported"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Configuration of the simulated network.
 ///
 /// The default reproduces Table 1: a 4×4 concentrated 2D mesh (32 nodes, two
@@ -110,25 +166,32 @@ impl NocConfig {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns the first invalid field as a [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.width == 0 || self.height == 0 {
-            return Err("mesh dimensions must be positive".into());
+            return Err(ConfigError::EmptyMesh);
         }
         if self.concentration == 0 {
-            return Err("concentration must be positive".into());
+            return Err(ConfigError::ZeroConcentration);
         }
         if self.vcs == 0 {
-            return Err("at least one virtual channel is required".into());
+            return Err(ConfigError::NoVirtualChannels);
         }
         if self.vc_buffer == 0 {
-            return Err("VC buffers must hold at least one flit".into());
+            return Err(ConfigError::ZeroVcBuffer);
         }
         if self.flit_bits == 0 {
-            return Err("flit width must be positive".into());
+            return Err(ConfigError::ZeroFlitWidth);
+        }
+        if self.vcs > MAX_VCS {
+            return Err(ConfigError::TooManyVcs(self.vcs));
+        }
+        let ports = 4 + self.concentration;
+        if ports > MAX_PORTS {
+            return Err(ConfigError::TooManyPorts(ports));
         }
         if self.num_nodes() > u16::MAX as usize {
-            return Err("node ids are 16-bit".into());
+            return Err(ConfigError::TooManyNodes(self.num_nodes()));
         }
         Ok(())
     }
@@ -166,31 +229,72 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_zeroes() {
-        for f in [
-            NocConfig {
-                width: 0,
-                ..Default::default()
-            },
-            NocConfig {
-                concentration: 0,
-                ..Default::default()
-            },
-            NocConfig {
-                vcs: 0,
-                ..Default::default()
-            },
-            NocConfig {
-                vc_buffer: 0,
-                ..Default::default()
-            },
-            NocConfig {
-                flit_bits: 0,
-                ..Default::default()
-            },
+    fn validation_rejects_unsound_configs() {
+        for (f, want) in [
+            (
+                NocConfig {
+                    width: 0,
+                    ..Default::default()
+                },
+                ConfigError::EmptyMesh,
+            ),
+            (
+                NocConfig {
+                    concentration: 0,
+                    ..Default::default()
+                },
+                ConfigError::ZeroConcentration,
+            ),
+            (
+                NocConfig {
+                    vcs: 0,
+                    ..Default::default()
+                },
+                ConfigError::NoVirtualChannels,
+            ),
+            (
+                NocConfig {
+                    vc_buffer: 0,
+                    ..Default::default()
+                },
+                ConfigError::ZeroVcBuffer,
+            ),
+            (
+                NocConfig {
+                    flit_bits: 0,
+                    ..Default::default()
+                },
+                ConfigError::ZeroFlitWidth,
+            ),
+            (
+                NocConfig {
+                    vcs: MAX_VCS + 1,
+                    ..Default::default()
+                },
+                ConfigError::TooManyVcs(33),
+            ),
+            (
+                NocConfig {
+                    concentration: 61,
+                    ..Default::default()
+                },
+                ConfigError::TooManyPorts(65),
+            ),
+            (
+                NocConfig::cmesh(256, 256, 1),
+                ConfigError::TooManyNodes(65_536),
+            ),
         ] {
-            assert!(f.validate().is_err());
+            assert_eq!(f.validate(), Err(want));
+            assert!(!want.to_string().is_empty());
         }
+        // The limits themselves are valid.
+        let widest = NocConfig {
+            vcs: MAX_VCS,
+            concentration: MAX_PORTS - 4,
+            ..Default::default()
+        };
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod topology;
 
-pub use config::NocConfig;
+pub use config::{ConfigError, NocConfig};
 pub use faults::{FaultPlan, FaultStats, LossPlan, SimError};
 pub use histogram::LatencyHistogram;
 pub use ni::NodeCodec;

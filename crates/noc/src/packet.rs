@@ -42,6 +42,16 @@ pub struct Flit {
 }
 
 impl Flit {
+    /// Placeholder content of flit storage that holds no flit yet (empty
+    /// ring slots, link templates).
+    pub(crate) const EMPTY: Flit = Flit {
+        slot: 0,
+        seq: 0,
+        is_tail: false,
+        dest: NodeId(0),
+        ready_at: 0,
+    };
+
     /// Whether this is the head flit.
     pub fn is_head(&self) -> bool {
         self.seq == 0

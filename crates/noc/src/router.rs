@@ -7,11 +7,14 @@
 //! uncontended. Credit-based flow control backpressures the VC buffers;
 //! virtual-channel allocation holds an output VC from a packet's head grant
 //! to its tail traversal (wormhole).
-
-use std::collections::VecDeque;
+//!
+//! State layout (DESIGN.md §7): every per-VC record lives in one flat array
+//! indexed `port * vcs + vc`, and the input VC buffers are rings cut from a
+//! single slot array, so an allocator probe is a couple of indexed loads.
 
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 
+use crate::config::{MAX_PORTS, MAX_VCS};
 use crate::packet::Flit;
 use crate::snapshot::{load_flit, load_opt_usize_below, save_flit, save_opt_usize};
 
@@ -25,6 +28,21 @@ fn wrap(x: usize, m: usize) -> usize {
         x
     }
 }
+
+/// Rotates the low `width` bits of `mask` right by `start < width`, so bit
+/// `k` of the result stands for index `start + k` (mod `width`): the first
+/// set bit is then the round-robin winner.
+#[inline(always)]
+fn rotate(mask: u64, start: usize, width: usize) -> u64 {
+    if start == 0 {
+        mask
+    } else {
+        ((mask >> start) | (mask << (width - start))) & (u64::MAX >> (64 - width))
+    }
+}
+
+/// Sentinel of the `u8` route, output-VC and holder fields: no value.
+const NONE: u8 = u8::MAX;
 
 /// Where an output port's link lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,82 +61,65 @@ pub enum LinkDest {
     },
 }
 
-/// Who feeds an input port (for credit return).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Upstream {
-    /// An upstream router's output port.
-    Router {
-        /// Upstream router id.
-        router: usize,
-        /// Output port index at the upstream router.
-        port: usize,
-    },
-    /// A local NI's injection path.
-    Local {
-        /// The injecting node.
-        node: usize,
-    },
+/// One input VC: its ring (`len` flits from `head` in the VC's stretch of
+/// the slot array) and the route and output VC its packet holds.
+#[derive(Debug, Clone, Copy)]
+struct InVc {
+    head: u32,
+    len: u32,
+    /// Output port of the packet at the head, [`NONE`] before RC.
+    route: u8,
+    /// Output VC the packet holds, [`NONE`] before VA.
+    out_vc: u8,
 }
 
-/// One virtual channel of an input port.
-#[derive(Debug, Clone)]
-struct VcState {
-    buf: VecDeque<Flit>,
-    out_port: Option<usize>,
-    out_vc: Option<usize>,
-}
-
-impl VcState {
-    fn new() -> Self {
-        VcState {
-            buf: VecDeque::new(),
-            out_port: None,
-            out_vc: None,
-        }
-    }
-}
-
-/// An input port: a set of VC buffers plus the upstream to credit.
-#[derive(Debug, Clone)]
+/// Per-input-port allocation state.
+#[derive(Debug, Clone, Copy)]
 struct InPort {
-    vcs: Vec<VcState>,
-    /// Bitmask of VCs holding at least one flit, so allocation skips empty
-    /// ports in one branch and walks only occupied VCs.
+    /// Bitmask of VCs holding at least one flit.
     occupied: u32,
-    rr: usize,
-    upstream: Option<Upstream>,
+    /// Round-robin pointer over VCs.
+    rr: u8,
+    /// The VC phase 1 nominated this cycle; read only for ports whose bit
+    /// is set in some output's request mask.
+    nominated: u8,
 }
 
 /// One downstream VC's flow-control state: remaining credits and, while a
-/// wormhole holds the VC, the (input port, input VC) holding it. Credits and
-/// holders live side by side so the allocator's probe touches one cache
-/// line, not two heap blocks.
+/// wormhole holds the VC, the (input port, input VC) holding it.
 #[derive(Debug, Clone, Copy)]
 struct OutVc {
     credits: u32,
-    holder: Option<(u32, u32)>,
+    holder_port: u8,
+    holder_vc: u8,
 }
 
-/// An output port: downstream link and per-VC flow-control state.
-#[derive(Debug, Clone)]
+/// Per-output-port allocation state.
+#[derive(Debug, Clone, Copy)]
 struct OutPort {
-    dest: LinkDest,
-    vcs: Vec<OutVc>,
-    vc_rr: usize,
-    rr: usize,
+    /// Bitmask of output VCs no wormhole holds.
+    free: u32,
+    /// Round-robin pointer over output VCs (VA).
+    vc_rr: u8,
+    /// Round-robin pointer over input ports (SA).
+    rr: u8,
 }
 
 /// A switch traversal granted this cycle, to be applied by the network.
+/// Links are numbered globally, `router * ports + port`, so the network
+/// resolves both ends against its wiring tables with one indexed load.
 #[derive(Debug, Clone, Copy)]
 pub struct Traversal {
     /// The moving flit.
     pub flit: Flit,
-    /// Where it goes.
-    pub dest: LinkDest,
+    /// The output link taken.
+    pub link: u32,
+    /// The input link the flit left: its upstream is owed the freed slot.
+    pub from: u32,
     /// Downstream VC it occupies.
-    pub out_vc: usize,
-    /// Who to credit for the freed buffer slot.
-    pub credit_to: Option<(Upstream, usize)>,
+    pub out_vc: u8,
+    /// Input VC it left.
+    pub in_vc: u8,
 }
 
 /// Microarchitectural event counters of one router (drive the power model).
@@ -151,56 +152,92 @@ impl RouterActivity {
 #[derive(Debug, Clone)]
 pub struct Router {
     id: usize,
+    /// Global index of this router's port-0 link (`id * ports`).
+    link_base: u32,
+    vcs: usize,
+    /// Slots per input VC ring: the credited `vc_buffer`, doubled each time
+    /// a duplicated-credit fault overfills a ring.
+    cap: usize,
+    /// Ring storage: input VC `i` owns `slots[i * cap..(i + 1) * cap]`.
+    slots: Vec<Flit>,
+    /// Per input VC, indexed `port * vcs + vc`.
+    in_vcs: Vec<InVc>,
     in_ports: Vec<InPort>,
+    /// Per output VC, indexed `port * vcs + vc`.
+    out_vcs: Vec<OutVc>,
     out_ports: Vec<OutPort>,
+    /// Bitmask of input ports holding at least one flit: phase 1 walks its
+    /// set bits instead of every port.
+    busy_ports: u64,
+    /// Bitmask of output ports that are not credit flow-controlled
+    /// (ejection paths and unwired edge ports).
+    eject_ports: u64,
+    /// Per output port, the input ports requesting it this cycle. Phase 2
+    /// zeroes each mask it consumes, so the table is clean between calls.
+    out_requests: Vec<u64>,
     /// Flits currently held across all input VC buffers. Maintained so the
     /// network can skip allocation for idle routers in O(1).
     buffered: usize,
-    /// Per-call request scratch of [`Router::allocate`] (`in_port ->
-    /// (vc, out_port)`), hoisted here so the steady-state allocation loop
-    /// never touches the heap.
-    requests: Vec<Option<(usize, usize)>>,
-    /// Per-call scratch of [`Router::allocate`]: for each output port, a
-    /// bitmask of the input ports requesting it, so the grant phase costs
-    /// one rotate + trailing-zeros per output port instead of a scan over
-    /// every input port.
-    out_requests: Vec<u64>,
     activity: RouterActivity,
 }
 
 impl Router {
     /// Builds a router with `ports` ports, `vcs` VCs of `vc_buffer` flits.
-    /// Links and upstreams are wired afterwards by the network.
+    /// Every output port starts out ejecting (not credit flow-controlled);
+    /// the network wires its router-to-router links afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 64 ports or 32 VCs (the allocator's bitmask
+    /// widths); [`NocConfig::validate`](crate::NocConfig::validate) rejects
+    /// such configurations first.
     pub fn new(id: usize, ports: usize, vcs: usize, vc_buffer: usize) -> Self {
-        assert!(ports <= 64, "request bitmasks hold at most 64 input ports");
-        assert!(vcs <= 32, "occupancy bitmasks hold at most 32 VCs");
+        assert!(ports <= MAX_PORTS, "port bitmasks hold at most 64 ports");
+        assert!(vcs <= MAX_VCS, "VC bitmasks hold at most 32 VCs");
+        let cap = vc_buffer.max(1);
         Router {
             id,
-            in_ports: (0..ports)
-                .map(|_| InPort {
-                    vcs: (0..vcs).map(|_| VcState::new()).collect(),
+            link_base: (id * ports) as u32,
+            vcs,
+            cap,
+            slots: vec![Flit::EMPTY; ports * vcs * cap],
+            in_vcs: vec![
+                InVc {
+                    head: 0,
+                    len: 0,
+                    route: NONE,
+                    out_vc: NONE,
+                };
+                ports * vcs
+            ],
+            in_ports: vec![
+                InPort {
                     occupied: 0,
                     rr: 0,
-                    upstream: None,
-                })
-                .collect(),
-            out_ports: (0..ports)
-                .map(|_| OutPort {
-                    dest: LinkDest::Eject { node: usize::MAX },
-                    vcs: vec![
-                        OutVc {
-                            credits: vc_buffer as u32,
-                            holder: None,
-                        };
-                        vcs
-                    ],
+                    nominated: 0,
+                };
+                ports
+            ],
+            out_vcs: vec![
+                OutVc {
+                    credits: vc_buffer as u32,
+                    holder_port: NONE,
+                    holder_vc: NONE,
+                };
+                ports * vcs
+            ],
+            out_ports: vec![
+                OutPort {
+                    free: (u64::MAX >> (64 - vcs.max(1))) as u32,
                     vc_rr: 0,
                     rr: 0,
-                })
-                .collect(),
-            buffered: 0,
-            requests: vec![None; ports],
+                };
+                ports
+            ],
+            busy_ports: 0,
+            eject_ports: u64::MAX >> (64 - ports.max(1)),
             out_requests: vec![0; ports],
+            buffered: 0,
             activity: RouterActivity::default(),
         }
     }
@@ -210,31 +247,61 @@ impl Router {
         self.id
     }
 
-    /// Wires output port `port` to `dest`. Ejection ports are not credit
-    /// flow-controlled at all (the NI sinks one flit per cycle regardless):
-    /// [`Router::allocate`] skips the credit check and decrement for them, so
-    /// no finite counter can drain over a long-lived simulation.
+    /// Wires output port `port` to `dest`; the router keeps only whether
+    /// the port is credit flow-controlled. Ejection ports are not at all
+    /// (the NI sinks one flit per cycle regardless): [`Router::allocate`]
+    /// skips the credit check and decrement for them, so no finite counter
+    /// can drain over a long-lived simulation.
     pub fn wire_output(&mut self, port: usize, dest: LinkDest) {
-        self.out_ports[port].dest = dest;
+        match dest {
+            LinkDest::Router { .. } => self.eject_ports &= !(1 << port),
+            LinkDest::Eject { .. } => self.eject_ports |= 1 << port,
+        }
     }
 
-    /// Declares who feeds input port `port`.
-    pub fn wire_input(&mut self, port: usize, upstream: Upstream) {
-        self.in_ports[port].upstream = Some(upstream);
-    }
-
-    /// Accepts a flit into an input VC buffer (BW stage).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer would exceed the credited capacity — that would
-    /// be a flow-control bug, not a runtime condition.
+    /// Accepts a flit into an input VC buffer (BW stage). Flow control
+    /// normally keeps a VC within its `vc_buffer` credits, but a
+    /// duplicated-credit fault lets the upstream hop send more: the surplus
+    /// is queued in FIFO order behind the rest, never dropped.
     pub fn accept_flit(&mut self, port: usize, vc: usize, flit: Flit) {
         self.activity.buffer_writes += 1;
         self.buffered += 1;
-        let p = &mut self.in_ports[port];
-        p.occupied |= 1 << vc;
-        p.vcs[vc].buf.push_back(flit);
+        let i = port * self.vcs + vc;
+        if self.in_vcs[i].len as usize == self.cap {
+            self.grow();
+        }
+        let cap = self.cap;
+        let st = &mut self.in_vcs[i];
+        let tail = wrap(st.head as usize + st.len as usize, cap);
+        self.slots[i * cap + tail] = flit;
+        st.len += 1;
+        self.in_ports[port].occupied |= 1 << vc;
+        self.busy_ports |= 1 << port;
+    }
+
+    /// Doubles every ring's capacity, re-laying each ring out from slot 0
+    /// of its new stretch. Only a duplicated-credit fault gets here.
+    #[cold]
+    fn grow(&mut self) {
+        let cap = self.cap * 2;
+        let mut slots = vec![Flit::EMPTY; self.in_vcs.len() * cap];
+        for i in 0..self.in_vcs.len() {
+            for (k, f) in self.ring(i).enumerate() {
+                slots[i * cap + k] = *f;
+            }
+        }
+        for st in &mut self.in_vcs {
+            st.head = 0;
+        }
+        self.slots = slots;
+        self.cap = cap;
+    }
+
+    /// The buffered flits of input VC `i`, oldest first.
+    fn ring(&self, i: usize) -> impl Iterator<Item = &Flit> {
+        let st = self.in_vcs[i];
+        let base = &self.slots[i * self.cap..(i + 1) * self.cap];
+        (0..st.len as usize).map(move |k| &base[(st.head as usize + k) % self.cap])
     }
 
     /// Whether every input VC buffer is empty — an idle router's allocation
@@ -245,9 +312,8 @@ impl Router {
 
     /// Returns one credit for output port `port`, VC `vc`.
     pub fn return_credit(&mut self, port: usize, vc: usize) {
-        let out = &mut self.out_ports[port];
-        if !matches!(out.dest, LinkDest::Eject { .. }) {
-            out.vcs[vc].credits += 1;
+        if self.eject_ports & (1 << port) == 0 {
+            self.out_vcs[port * self.vcs + vc].credits += 1;
         }
     }
 
@@ -255,11 +321,7 @@ impl Router {
     pub fn occupancy(&self) -> usize {
         debug_assert_eq!(
             self.buffered,
-            self.in_ports
-                .iter()
-                .flat_map(|p| p.vcs.iter())
-                .map(|v| v.buf.len())
-                .sum::<usize>(),
+            self.in_vcs.iter().map(|v| v.len as usize).sum::<usize>(),
             "buffered counter out of sync with the VC buffers"
         );
         self.buffered
@@ -270,13 +332,22 @@ impl Router {
         self.activity
     }
 
+    /// The wormhole holder of output VC `i`, if any.
+    fn holder(&self, i: usize) -> Option<(u32, u32)> {
+        let v = self.out_vcs[i];
+        (v.holder_port != NONE).then_some((v.holder_port as u32, v.holder_vc as u32))
+    }
+
     /// Flow-control snapshot for deadlock diagnostics: per output port, each
     /// VC's `(remaining credits, wormhole holder)` where the holder is the
     /// `(input port, input VC)` currently owning the VC.
     pub fn flow_snapshot(&self) -> crate::faults::PortFlows {
-        self.out_ports
-            .iter()
-            .map(|p| p.vcs.iter().map(|v| (v.credits, v.holder)).collect())
+        (0..self.out_ports.len())
+            .map(|op| {
+                (op * self.vcs..(op + 1) * self.vcs)
+                    .map(|i| (self.out_vcs[i].credits, self.holder(i)))
+                    .collect()
+            })
             .collect()
     }
 
@@ -284,31 +355,33 @@ impl Router {
     /// buffered flits (slots translated to canonical packet indices by
     /// `remap`) and held route/VC, per output VC the credits and wormhole
     /// holder, the round-robin pointers and the activity counters. Wiring
-    /// (`dest`/`upstream`) is configuration, not state, and is skipped; the
-    /// `occupied` bitmask and `buffered` count are derived and recomputed on
-    /// load.
+    /// is configuration, not state, and is skipped; the
+    /// occupancy and free-VC bitmasks, the ring capacity and the `buffered`
+    /// count are derived and recomputed on load.
     pub(crate) fn save_state(
         &self,
         w: &mut SnapWriter,
         remap: &impl Fn(u32) -> Option<u32>,
     ) -> Result<(), SnapError> {
-        for port in &self.in_ports {
-            w.usize(port.rr);
-            for vc in &port.vcs {
-                w.usize(vc.buf.len());
-                for f in &vc.buf {
+        let opt = |x: u8| (x != NONE).then_some(x as usize);
+        for (ip, port) in self.in_ports.iter().enumerate() {
+            w.usize(port.rr as usize);
+            for i in ip * self.vcs..(ip + 1) * self.vcs {
+                let st = self.in_vcs[i];
+                w.usize(st.len as usize);
+                for f in self.ring(i) {
                     save_flit(w, f, remap)?;
                 }
-                save_opt_usize(w, vc.out_port);
-                save_opt_usize(w, vc.out_vc);
+                save_opt_usize(w, opt(st.route));
+                save_opt_usize(w, opt(st.out_vc));
             }
         }
-        for port in &self.out_ports {
-            w.usize(port.vc_rr);
-            w.usize(port.rr);
-            for vc in &port.vcs {
-                w.u32(vc.credits);
-                match vc.holder {
+        for (op, port) in self.out_ports.iter().enumerate() {
+            w.usize(port.vc_rr as usize);
+            w.usize(port.rr as usize);
+            for i in op * self.vcs..(op + 1) * self.vcs {
+                w.u32(self.out_vcs[i].credits);
+                match self.holder(i) {
                     Some((ip, v)) => {
                         w.bool(true);
                         w.u32(ip);
@@ -336,59 +409,63 @@ impl Router {
         remap: &impl Fn(u32) -> Option<u32>,
     ) -> Result<(), SnapError> {
         let num_in = self.in_ports.len();
-        let num_vcs = self
-            .in_ports
-            .first()
-            .map(|p| p.vcs.len())
-            .unwrap_or_default();
-        let mut buffered = 0usize;
-        for port in &mut self.in_ports {
+        let num_vcs = self.vcs;
+        let as_u8 = |x: Option<usize>| x.map_or(NONE, |x| x as u8);
+        for st in &mut self.in_vcs {
+            st.head = 0;
+            st.len = 0;
+        }
+        self.buffered = 0;
+        self.busy_ports = 0;
+        for ip in 0..num_in {
             let rr = r.usize()?;
             if rr >= num_vcs {
                 return Err(SnapError::Invalid("input round-robin index"));
             }
-            port.rr = rr;
-            port.occupied = 0;
-            for (v, vc) in port.vcs.iter_mut().enumerate() {
+            self.in_ports[ip].rr = rr as u8;
+            self.in_ports[ip].occupied = 0;
+            for v in 0..num_vcs {
                 let n = r.usize()?;
                 if n > 1 << 20 {
                     return Err(SnapError::Invalid("vc buffer length"));
                 }
-                vc.buf.clear();
                 for _ in 0..n {
-                    vc.buf.push_back(load_flit(r, remap)?);
+                    let flit = load_flit(r, remap)?;
+                    self.accept_flit(ip, v, flit);
                 }
-                if !vc.buf.is_empty() {
-                    port.occupied |= 1 << v;
-                    buffered += vc.buf.len();
-                }
-                vc.out_port = load_opt_usize_below(r, num_in, "allocated output port")?;
-                vc.out_vc = load_opt_usize_below(r, num_vcs, "allocated output vc")?;
+                let i = ip * num_vcs + v;
+                self.in_vcs[i].route =
+                    as_u8(load_opt_usize_below(r, num_in, "allocated output port")?);
+                self.in_vcs[i].out_vc =
+                    as_u8(load_opt_usize_below(r, num_vcs, "allocated output vc")?);
             }
         }
-        for port in &mut self.out_ports {
+        for op in 0..num_in {
             let vc_rr = r.usize()?;
             let rr = r.usize()?;
             if vc_rr >= num_vcs || rr >= num_in {
                 return Err(SnapError::Invalid("output round-robin index"));
             }
-            port.vc_rr = vc_rr;
-            port.rr = rr;
-            for vc in &mut port.vcs {
-                vc.credits = r.u32()?;
-                vc.holder = if r.bool()? {
+            let port = &mut self.out_ports[op];
+            port.vc_rr = vc_rr as u8;
+            port.rr = rr as u8;
+            port.free = 0;
+            for v in 0..num_vcs {
+                let ovc = &mut self.out_vcs[op * num_vcs + v];
+                ovc.credits = r.u32()?;
+                (ovc.holder_port, ovc.holder_vc) = if r.bool()? {
                     let ip = r.u32()?;
-                    let v = r.u32()?;
-                    if ip as usize >= num_in || v as usize >= num_vcs {
+                    let iv = r.u32()?;
+                    if ip as usize >= num_in || iv as usize >= num_vcs {
                         return Err(SnapError::Invalid("wormhole holder"));
                     }
-                    Some((ip, v))
+                    (ip as u8, iv as u8)
                 } else {
-                    None
+                    port.free |= 1 << v;
+                    (NONE, NONE)
                 };
             }
         }
-        self.buffered = buffered;
         self.activity = RouterActivity {
             buffer_writes: r.u64()?,
             buffer_reads: r.u64()?,
@@ -415,165 +492,150 @@ impl Router {
             return;
         }
         // Destructure for split borrows: the nomination loop walks input
-        // ports while probing output-port credits and holders, and indexed
-        // re-lookups of `self` on every probe dominated the profile.
+        // VCs while probing output-VC credits and holders.
         let Router {
+            link_base,
+            vcs,
+            cap,
+            slots,
+            in_vcs,
             in_ports,
+            out_vcs,
             out_ports,
-            requests,
+            busy_ports,
+            eject_ports,
             out_requests,
-            activity,
             buffered,
+            activity,
             ..
         } = self;
+        let (vcs, cap, eject_ports) = (*vcs, *cap, *eject_ports);
         let num_in = in_ports.len();
-        let num_vcs = in_ports.first().map(|p| p.vcs.len()).unwrap_or_default();
-        // Phase 1 — each input port nominates one (vc, out_port) request.
-        requests.iter_mut().for_each(|r| *r = None);
-        out_requests.iter_mut().for_each(|m| *m = 0);
-        let mut any_request = false;
-        let vc_mask = u32::MAX >> (32 - num_vcs as u32);
-        for (ip, port) in in_ports.iter_mut().enumerate() {
-            if port.occupied == 0 {
-                continue;
-            }
-            let start = port.rr;
-            // Walk only the occupied VCs, in round-robin order from `rr`:
-            // rotate the occupancy mask so bit position encodes priority,
-            // then peel set bits lowest-first. Empty VCs were skipped by the
-            // previous linear scan too, so the probe order is unchanged.
-            let mut rot = if start == 0 {
-                port.occupied
-            } else {
-                ((port.occupied >> start) | (port.occupied << (num_vcs - start))) & vc_mask
-            };
+        // Phase 1 — each occupied input port nominates one (vc, out_port)
+        // request. Ports are walked ascending and, within a port, occupied
+        // VCs in round-robin order from `rr`: rotating a mask so bit
+        // position encodes priority, then peeling set bits lowest-first.
+        let mut requested = 0u64;
+        let mut ports = *busy_ports;
+        while ports != 0 {
+            let ip = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            let port = &mut in_ports[ip];
+            let start = port.rr as usize;
+            let mut rot = rotate(u64::from(port.occupied), start, vcs);
             while rot != 0 {
-                let v = wrap(start + rot.trailing_zeros() as usize, num_vcs);
+                let v = wrap(start + rot.trailing_zeros() as usize, vcs);
                 rot &= rot - 1;
-                // Inspect the head-of-line flit of this VC. The occupancy
-                // bitmask mirrors the buffer contents, so an empty buffer
-                // here would be a bookkeeping bug — skip it rather than
-                // crash a long campaign.
-                let vc = &mut port.vcs[v];
-                let Some(&flit) = vc.buf.front() else {
-                    debug_assert!(false, "occupied VC {v} of port {ip} has no flit");
-                    continue;
-                };
+                let i = ip * vcs + v;
+                let st = &mut in_vcs[i];
+                // The occupancy mask mirrors the ring lengths, so `head`
+                // indexes a live flit.
+                let flit = &slots[i * cap + st.head as usize];
                 if flit.ready_at > now {
                     continue;
                 }
-                // RC: resolve output port for a new packet.
-                let op = match vc.out_port {
-                    Some(op) => op,
-                    None => {
-                        debug_assert!(flit.is_head(), "body flit without an allocated route");
-                        let op = route_of(&flit);
-                        vc.out_port = Some(op);
-                        op
-                    }
+                // RC: resolve the output port for a new packet.
+                let op = if st.route != NONE {
+                    st.route as usize
+                } else {
+                    debug_assert!(flit.is_head(), "body flit without an allocated route");
+                    let op = route_of(flit);
+                    st.route = op as u8;
+                    op
                 };
-                let out = &mut out_ports[op];
-                let eject = matches!(out.dest, LinkDest::Eject { .. });
+                let eject = eject_ports & (1 << op) != 0;
                 // VA: obtain an output VC if the packet does not hold one.
                 // Ejection ports never serialise packets onto a single VC —
                 // the NI reassembles per packet — so they grant the input's
                 // own VC unconditionally.
-                let ovc = match vc.out_vc {
-                    Some(ovc) => ovc,
-                    None => {
-                        let granted = if eject {
-                            Some(v)
-                        } else {
-                            let n = out.vcs.len();
-                            let vstart = out.vc_rr;
-                            (0..n).map(|j| wrap(vstart + j, n)).find(|&ov| {
-                                if out.vcs[ov].holder.is_none() {
-                                    out.vcs[ov].holder = Some((ip as u32, v as u32));
-                                    out.vc_rr = wrap(ov + 1, n);
-                                    true
-                                } else {
-                                    false
-                                }
-                            })
-                        };
-                        let Some(granted) = granted else {
+                let ovc = if st.out_vc != NONE {
+                    st.out_vc as usize
+                } else {
+                    let granted = if eject {
+                        v
+                    } else {
+                        let out = &mut out_ports[op];
+                        if out.free == 0 {
                             continue; // no free downstream VC; try another input VC
-                        };
-                        vc.out_vc = Some(granted);
-                        activity.vc_allocs += 1;
-                        granted
-                    }
+                        }
+                        let vstart = out.vc_rr as usize;
+                        let free = rotate(u64::from(out.free), vstart, vcs);
+                        let ov = wrap(vstart + free.trailing_zeros() as usize, vcs);
+                        out.free &= !(1 << ov);
+                        out.vc_rr = wrap(ov + 1, vcs) as u8;
+                        let held = &mut out_vcs[op * vcs + ov];
+                        held.holder_port = ip as u8;
+                        held.holder_vc = v as u8;
+                        ov
+                    };
+                    st.out_vc = granted as u8;
+                    activity.vc_allocs += 1;
+                    granted
                 };
                 // Credit check (ST needs a downstream buffer slot). Ejection
                 // is not credit flow-controlled: the NI sinks a flit per
                 // cycle, so eject grants neither check nor spend credits.
-                if !eject && out.vcs[ovc].credits == 0 {
+                if !eject && out_vcs[op * vcs + ovc].credits == 0 {
                     continue;
                 }
-                requests[ip] = Some((v, op));
-                out_requests[op] |= 1u64 << ip;
-                any_request = true;
+                port.nominated = v as u8;
+                out_requests[op] |= 1 << ip;
+                requested |= 1 << op;
                 break;
             }
         }
-        if !any_request {
-            return;
-        }
-        // Phase 2 — each output port grants one requesting input port: the
-        // round-robin winner is the first set bit of the request mask
-        // rotated to start at the port's priority pointer.
-        for (op, out_port) in out_ports.iter_mut().enumerate() {
-            let mask = out_requests[op];
-            if mask == 0 {
-                continue;
-            }
-            let start = out_port.rr;
-            let rot = if start == 0 {
-                mask
-            } else {
-                (mask >> start) | (mask << (num_in - start))
-            };
-            let ip = wrap(start + rot.trailing_zeros() as usize, num_in);
-            // Each of these states was established by phase 1 (the request
-            // mask bit, the nominated flit, the granted output VC); a
-            // mismatch is a bookkeeping bug, degraded to a skipped grant.
-            let Some((v, _)) = requests[ip].take() else {
-                debug_assert!(false, "masked input {ip} had no request");
-                continue;
-            };
+        // Phase 2 — each requested output port, ascending, grants one
+        // requesting input port: the round-robin winner is the first set bit
+        // of the request mask rotated to start at the port's priority
+        // pointer.
+        while requested != 0 {
+            let op = requested.trailing_zeros() as usize;
+            requested &= requested - 1;
+            let mask = std::mem::take(&mut out_requests[op]);
+            let out = &mut out_ports[op];
+            let start = out.rr as usize;
+            let ip = wrap(
+                start + rotate(mask, start, num_in).trailing_zeros() as usize,
+                num_in,
+            );
             let in_port = &mut in_ports[ip];
-            let vc_state = &mut in_port.vcs[v];
-            let Some(flit) = vc_state.buf.pop_front() else {
-                debug_assert!(false, "nominated VC {v} of input {ip} has no flit");
-                continue;
-            };
+            let v = in_port.nominated as usize;
+            let i = ip * vcs + v;
+            let st = &mut in_vcs[i];
+            let flit = slots[i * cap + st.head as usize];
+            st.head = wrap(st.head as usize + 1, cap) as u32;
+            st.len -= 1;
             *buffered -= 1;
-            let Some(ovc) = vc_state.out_vc else {
-                debug_assert!(false, "granted packet holds no output VC");
-                continue;
-            };
+            let ovc = st.out_vc as usize;
             if flit.is_tail {
                 // Release the wormhole: route and output VC free up.
-                vc_state.out_port = None;
-                vc_state.out_vc = None;
-                out_port.vcs[ovc].holder = None;
+                st.route = NONE;
+                st.out_vc = NONE;
+                let held = &mut out_vcs[op * vcs + ovc];
+                held.holder_port = NONE;
+                held.holder_vc = NONE;
+                out.free |= 1 << ovc;
             }
-            if vc_state.buf.is_empty() {
+            if st.len == 0 {
                 in_port.occupied &= !(1 << v);
+                if in_port.occupied == 0 {
+                    *busy_ports &= !(1 << ip);
+                }
             }
-            if matches!(out_port.dest, LinkDest::Router { .. }) {
-                out_port.vcs[ovc].credits -= 1;
+            if eject_ports & (1 << op) == 0 {
+                out_vcs[op * vcs + ovc].credits -= 1;
                 activity.link_traversals += 1;
             }
             activity.buffer_reads += 1;
             activity.crossbar_traversals += 1;
-            in_port.rr = wrap(v + 1, num_vcs);
-            out_port.rr = wrap(ip + 1, num_in);
+            in_port.rr = wrap(v + 1, vcs) as u8;
+            out.rr = wrap(ip + 1, num_in) as u8;
             grants.push(Traversal {
                 flit,
-                dest: out_port.dest,
-                out_vc: ovc,
-                credit_to: in_port.upstream.map(|u| (u, v)),
+                link: *link_base + op as u32,
+                from: *link_base + ip as u32,
+                out_vc: ovc as u8,
+                in_vc: v as u8,
             });
         }
     }
@@ -598,7 +660,6 @@ mod tests {
         let mut r = Router::new(0, 3, 2, 4);
         r.wire_output(1, LinkDest::Router { router: 1, port: 3 });
         r.wire_output(2, LinkDest::Eject { node: 0 });
-        r.wire_input(0, Upstream::Local { node: 0 });
         r
     }
 
@@ -619,11 +680,8 @@ mod tests {
         assert_eq!(grants.len(), 1);
         let t = grants[0];
         assert_eq!(t.flit.slot, 1);
-        assert!(matches!(t.dest, LinkDest::Router { router: 1, port: 3 }));
-        assert!(matches!(
-            t.credit_to,
-            Some((Upstream::Local { node: 0 }, 0))
-        ));
+        assert_eq!((t.link, t.out_vc), (1, 0));
+        assert_eq!((t.from, t.in_vc), (0, 0));
         assert_eq!(r.occupancy(), 0);
     }
 
@@ -728,6 +786,64 @@ mod tests {
             got += allocate(&mut r, now, |_| 2).len();
         }
         assert_eq!(got, 3, "eject port never runs out of VCs or credits");
+    }
+
+    #[test]
+    fn overfilled_vc_keeps_fifo_order() {
+        // A duplicated-credit fault lets the upstream hop send more flits
+        // than a VC's four slots hold: the ring grows and the surplus queues
+        // behind the rest, in order, whatever the ring's head position.
+        let mut r = test_router();
+        for seq in 0..3 {
+            r.accept_flit(0, 1, flit(7, seq, false, 0));
+        }
+        let sent: Vec<u32> = (1..=2)
+            .flat_map(|now| allocate(&mut r, now, |_| 1))
+            .map(|t| t.flit.seq)
+            .collect();
+        assert_eq!(sent, [0, 1]);
+        for seq in 3..13 {
+            r.accept_flit(0, 1, flit(7, seq, seq == 12, 0));
+        }
+        r.accept_flit(1, 0, flit(8, 0, true, 0));
+        assert_eq!(r.occupancy(), 12);
+        // The packet holds one output VC of port 1 and spent two credits.
+        let flows = r.flow_snapshot();
+        let held: Vec<usize> = (0..flows[1].len())
+            .filter(|&v| flows[1][v].1.is_some())
+            .collect();
+        assert_eq!(held.len(), 1);
+        let ovc = held[0];
+        assert_eq!(flows[1][ovc], (2, Some((0, 1))));
+        // The grown state survives a snapshot round trip byte for byte.
+        let save = |r: &Router| {
+            let mut w = SnapWriter::new();
+            r.save_state(&mut w, &|s| Some(s)).expect("save");
+            w.into_bytes()
+        };
+        let bytes = save(&r);
+        let mut restored = test_router();
+        restored
+            .load_state(&mut SnapReader::new(&bytes), &|s| Some(s))
+            .expect("load");
+        assert_eq!(save(&restored), bytes);
+        assert_eq!(restored.occupancy(), 12);
+        // With credits returned, the rest drains in FIFO order and the tail
+        // releases the output VC.
+        for _ in 0..10 {
+            r.return_credit(1, ovc);
+        }
+        let mut seqs = Vec::new();
+        for now in 3..40 {
+            for t in allocate(&mut r, now, |f| if f.slot == 7 { 1 } else { 2 }) {
+                if t.flit.slot == 7 {
+                    seqs.push(t.flit.seq);
+                }
+            }
+        }
+        assert_eq!(seqs, (2..13).collect::<Vec<u32>>());
+        assert_eq!(r.occupancy(), 0);
+        assert!(r.flow_snapshot()[1].iter().all(|&(_, h)| h.is_none()));
     }
 
     #[test]

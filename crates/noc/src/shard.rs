@@ -36,7 +36,7 @@ use crate::config::NocConfig;
 use crate::faults::{FaultPlan, PPM};
 use crate::ni::NiState;
 use crate::packet::{Flit, PacketId, PacketKind, PacketState};
-use crate::router::{LinkDest, Router, Upstream};
+use crate::router::{LinkDest, Router, Traversal};
 use crate::topology::{Direction, Mesh};
 
 /// Ring-buffer horizon for scheduled arrivals (link events land at +1/+2).
@@ -65,12 +65,128 @@ pub(crate) fn encode_slot(shard: usize, local: usize) -> u32 {
     ((shard as u32) << SLOT_BITS) | local as u32
 }
 
+/// The `port` of an [`Arrival`] bound for an ejection path.
+pub(crate) const EJECT: u8 = u8::MAX;
+
 /// A flit in flight on a link, due at a scheduled cycle.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Arrival {
-    pub target: LinkDest,
-    pub vc: usize,
     pub flit: Flit,
+    /// The downstream router, or the ejecting node when `port` is [`EJECT`].
+    pub at: u32,
+    /// Input port at the downstream router, or [`EJECT`].
+    pub port: u8,
+    /// Downstream VC.
+    pub vc: u8,
+}
+
+impl Arrival {
+    /// An arrival of `flit` on `vc` at `target`.
+    pub fn new(target: LinkDest, vc: usize, flit: Flit) -> Self {
+        let (at, port) = match target {
+            LinkDest::Router { router, port } => (router as u32, port as u8),
+            LinkDest::Eject { node } => (node as u32, EJECT),
+        };
+        Arrival {
+            flit,
+            at,
+            port,
+            vc: vc as u8,
+        }
+    }
+
+    /// Where the flit lands.
+    pub fn target(&self) -> LinkDest {
+        if self.port == EJECT {
+            LinkDest::Eject {
+                node: self.at as usize,
+            }
+        } else {
+            LinkDest::Router {
+                router: self.at as usize,
+                port: self.port as usize,
+            }
+        }
+    }
+}
+
+/// Who is owed the credit a flit frees when it leaves an input link.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CreditSink {
+    /// Output port `port` of local router `router` in shard `shard`.
+    Router { shard: u32, router: u32, port: u8 },
+    /// The NI of local node `node` in shard `shard`.
+    Ni { shard: u32, node: u32 },
+}
+
+/// The network's links resolved against a shard partition, indexed by the
+/// global link numbers a [`Traversal`] carries (`router * ports + port`):
+/// the serial cycle edge turns a grant into its arrival and its credit
+/// return with one indexed load each.
+#[derive(Debug)]
+pub(crate) struct Wiring {
+    /// Per output link: the owning shard of the landing site and the
+    /// arrival template (flit and VC filled in per traversal).
+    pub hops: Vec<(u32, Arrival)>,
+    /// Per input link: who its departing flits credit (nobody for an
+    /// unwired mesh-edge port, which never receives a flit).
+    pub credits: Vec<Option<CreditSink>>,
+}
+
+impl Wiring {
+    /// Resolves every link of `mesh` against the partition `shards`, whose
+    /// owner map is `router_shard`.
+    pub fn new(mesh: &Mesh, shards: &[Shard], router_shard: &[u32]) -> Self {
+        let ports = mesh.ports_per_router();
+        // Mesh-edge ports without a neighbour keep this entry: XY routing
+        // never sends a flit out of them.
+        let unwired = (
+            0,
+            Arrival::new(LinkDest::Eject { node: usize::MAX }, 0, Flit::EMPTY),
+        );
+        let mut hops = vec![unwired; mesh.num_routers() * ports];
+        let mut credits = vec![None; mesh.num_routers() * ports];
+        for r in 0..mesh.num_routers() {
+            let owner = router_shard[r];
+            for dir in Direction::ALL {
+                let Some(n) = mesh.neighbor(r, dir) else {
+                    continue;
+                };
+                // The link r→n lands on n's opposite port, and r's own `dir`
+                // input port is fed by n's opposite output port.
+                let back = dir.opposite() as usize;
+                let n_shard = router_shard[n];
+                hops[r * ports + dir as usize] = (
+                    n_shard,
+                    Arrival::new(
+                        LinkDest::Router {
+                            router: n,
+                            port: back,
+                        },
+                        0,
+                        Flit::EMPTY,
+                    ),
+                );
+                credits[r * ports + dir as usize] = Some(CreditSink::Router {
+                    shard: n_shard,
+                    router: (n - shards[n_shard as usize].router_lo) as u32,
+                    port: back as u8,
+                });
+            }
+            for port in 4..ports {
+                let node = mesh.node_at(r, port).index();
+                hops[r * ports + port] = (
+                    owner,
+                    Arrival::new(LinkDest::Eject { node }, 0, Flit::EMPTY),
+                );
+                credits[r * ports + port] = Some(CreditSink::Ni {
+                    shard: owner,
+                    node: (node - shards[owner as usize].node_lo) as u32,
+                });
+            }
+        }
+        Wiring { hops, credits }
+    }
 }
 
 /// The phase a worker runs on a shard.
@@ -127,7 +243,7 @@ pub(crate) struct Shard {
     /// Packets waiting in this shard's NI queues (fast idle check for B2).
     pub queued: usize,
     /// Phase A output: granted traversals in local router-ascending order.
-    pub outgoing: Vec<crate::router::Traversal>,
+    pub outgoing: Vec<Traversal>,
     /// Phase A output: ejection arrivals deferred to the serial cycle edge,
     /// in ring order (which is traversal push order, i.e. router-ascending).
     pub ejects: Vec<(usize, Flit)>,
@@ -208,9 +324,9 @@ pub(crate) fn build_shards(config: &NocConfig, shards: usize) -> Vec<Shard> {
 }
 
 impl Shard {
-    /// Builds the shard owning routers `[router_lo, router_hi)` with mesh
-    /// wiring identical to the single-shard kernel (links reference global
-    /// router/node ids; cross-shard hops are resolved at the cycle edge).
+    /// Builds the shard owning routers `[router_lo, router_hi)`. Routers
+    /// learn only which output ports eject; where each link lands is
+    /// resolved at the cycle edge through [`Wiring`].
     fn build(
         config: &NocConfig,
         mesh: &Mesh,
@@ -219,37 +335,20 @@ impl Shard {
         router_hi: usize,
     ) -> Shard {
         let ports = mesh.ports_per_router();
-        let mut routers: Vec<Router> = (router_lo..router_hi)
-            .map(|id| Router::new(id, ports, config.vcs, config.vc_buffer))
-            .collect();
-        for (lr, r) in (router_lo..router_hi).enumerate() {
-            for dir in Direction::ALL {
-                if let Some(n) = mesh.neighbor(r, dir) {
-                    // The link r→n lands on n's opposite port, and r's own
-                    // `dir` input port is fed by n's opposite output port.
-                    routers[lr].wire_output(
-                        dir as usize,
-                        LinkDest::Router {
-                            router: n,
-                            port: dir.opposite() as usize,
-                        },
-                    );
-                    routers[lr].wire_input(
-                        dir as usize,
-                        Upstream::Router {
-                            router: n,
-                            port: dir.opposite() as usize,
-                        },
-                    );
+        // Output ports start out ejecting; wiring a link to a neighbour
+        // makes a port credit flow-controlled.
+        let routers: Vec<Router> = (router_lo..router_hi)
+            .map(|id| {
+                let mut router = Router::new(id, ports, config.vcs, config.vc_buffer);
+                for dir in Direction::ALL {
+                    if let Some(n) = mesh.neighbor(id, dir) {
+                        let port = dir.opposite() as usize;
+                        router.wire_output(dir as usize, LinkDest::Router { router: n, port });
+                    }
                 }
-            }
-            for slot in 0..mesh.concentration() {
-                let port = 4 + slot;
-                let node = mesh.node_at(r, port);
-                routers[lr].wire_output(port, LinkDest::Eject { node: node.index() });
-                routers[lr].wire_input(port, Upstream::Local { node: node.index() });
-            }
-        }
+                router
+            })
+            .collect();
         let node_lo = router_lo * mesh.concentration();
         let node_hi = router_hi * mesh.concentration();
         let num_routers = routers.len();
@@ -313,23 +412,23 @@ impl Shard {
         let mut due = std::mem::take(&mut self.events[ring]);
         for arrival in due.drain(..) {
             self.progressed = true;
-            match arrival.target {
-                LinkDest::Router { router, port } => {
-                    let mut flit = arrival.flit;
-                    flit.ready_at = ctx.now + 1;
-                    if port_stall(&ctx.faults, ctx.now, router, port) {
-                        flit.ready_at += ctx.faults.stall_cycles as u64;
-                        self.stall_hits += 1;
-                    }
-                    if ctx.tracing && flit.is_head() {
-                        self.arrival_traces.push((flit.slot, router));
-                    }
-                    let lr = router - self.router_lo;
-                    self.routers[lr].accept_flit(port, arrival.vc, flit);
-                    self.active[lr] = true;
-                }
-                LinkDest::Eject { node } => self.ejects.push((node, arrival.flit)),
+            if arrival.port == EJECT {
+                self.ejects.push((arrival.at as usize, arrival.flit));
+                continue;
             }
+            let (router, port) = (arrival.at as usize, arrival.port as usize);
+            let mut flit = arrival.flit;
+            flit.ready_at = ctx.now + 1;
+            if port_stall(&ctx.faults, ctx.now, router, port) {
+                flit.ready_at += ctx.faults.stall_cycles as u64;
+                self.stall_hits += 1;
+            }
+            if ctx.tracing && flit.is_head() {
+                self.arrival_traces.push((flit.slot, router));
+            }
+            let lr = router - self.router_lo;
+            self.routers[lr].accept_flit(port, arrival.vc as usize, flit);
+            self.active[lr] = true;
         }
         self.events[ring] = due;
         for lr in 0..self.routers.len() {
@@ -434,7 +533,8 @@ impl Shard {
         let node = NodeId::from(self.node_lo + local_node);
         let router = self.mesh.router_of(node);
         let port = self.mesh.local_port_of(node);
-        self.schedule(now + 1, LinkDest::Router { router, port }, vc, flit, now);
+        let arrival = Arrival::new(LinkDest::Router { router, port }, vc, flit);
+        self.schedule(now + 1, arrival, now);
         // Injection statistics. Per-packet counters are committed at tail
         // injection so a drain cutoff can never split a packet across the
         // two sides of the Figure 11 normalization.
@@ -454,8 +554,8 @@ impl Shard {
     }
 
     /// Schedules an arrival into this shard's own ring.
-    pub fn schedule(&mut self, at: u64, target: LinkDest, vc: usize, flit: Flit, now: u64) {
+    pub fn schedule(&mut self, at: u64, arrival: Arrival, now: u64) {
         debug_assert!(at > now && at < now + EVENT_HORIZON as u64);
-        self.events[(at % EVENT_HORIZON as u64) as usize].push(Arrival { target, vc, flit });
+        self.events[(at % EVENT_HORIZON as u64) as usize].push(arrival);
     }
 }

@@ -42,10 +42,10 @@ use crate::faults::{
 };
 use crate::ni::NodeCodec;
 use crate::packet::{Delivered, Flit, PacketId, PacketKind, PacketState, TraceEvent};
-use crate::router::{LinkDest, RouterActivity, Upstream};
+use crate::router::{LinkDest, RouterActivity};
 use crate::shard::{
-    build_shards, encode_slot, local_of_slot, shard_of_slot, Arrival, Phase, Shard, StepCtx,
-    EVENT_HORIZON, MAX_SHARDS, SLOT_MASK,
+    build_shards, encode_slot, local_of_slot, shard_of_slot, Arrival, CreditSink, Phase, Shard,
+    StepCtx, Wiring, EVENT_HORIZON, MAX_SHARDS, SLOT_MASK,
 };
 use crate::snapshot::{
     load_flit, load_link_dest, load_opt_usize_below, load_packet, load_stats, save_flit,
@@ -67,6 +67,8 @@ pub struct NocSim {
     /// Owning shard index of every router (and, through a router's attached
     /// nodes, of every node).
     router_shard: Vec<u32>,
+    /// Every link resolved against the current partition.
+    wiring: Wiring,
     /// Persistent pinned workers for shards `1..n` (shard 0 runs on the
     /// stepping thread); present only with more than one shard.
     workers: Option<WorkerSet<Shard>>,
@@ -155,12 +157,14 @@ impl NocSim {
         );
         let shards = build_shards(&config, 1);
         let router_shard = router_shard_map(&shards, mesh.num_routers());
+        let wiring = Wiring::new(&mesh, &shards, &router_shard);
         let num_nodes = mesh.num_nodes();
         NocSim {
             config,
             mesh,
             shards,
             router_shard,
+            wiring,
             workers: None,
             codecs,
             live_packets: 0,
@@ -207,6 +211,7 @@ impl NocSim {
         }
         self.shards = build_shards(&self.config, n);
         self.router_shard = router_shard_map(&self.shards, self.mesh.num_routers());
+        self.wiring = Wiring::new(&self.mesh, &self.shards, &self.router_shard);
         self.workers = (n > 1).then(|| WorkerSet::new(n - 1, "anoc-shard"));
     }
 
@@ -679,27 +684,30 @@ impl NocSim {
                         self.erase_payload_word(t.flit.slot);
                     }
                 }
-                self.schedule(now + 2, t.dest, t.out_vc, t.flit);
+                let (s, mut arrival) = self.wiring.hops[t.link as usize];
+                arrival.flit = t.flit;
+                arrival.vc = t.out_vc;
+                self.shards[s as usize].schedule(now + 2, arrival, now);
             }
             self.shards[i].outgoing = outgoing;
         }
         for i in 0..n {
             let mut outgoing = std::mem::take(&mut self.shards[i].outgoing);
             for t in outgoing.drain(..) {
-                if let Some((upstream, vc)) = t.credit_to {
-                    let copies = self.credit_copies();
-                    for _ in 0..copies {
-                        match upstream {
-                            Upstream::Router { router, port } => {
-                                let s = self.router_shard[router] as usize;
-                                let lr = router - self.shards[s].router_lo;
-                                self.shards[s].routers[lr].return_credit(port, vc);
-                            }
-                            Upstream::Local { node } => {
-                                let s = self.node_shard(node);
-                                let ln = node - self.shards[s].node_lo;
-                                self.shards[s].nis[ln].vc_credits[vc] += 1;
-                            }
+                let Some(sink) = self.wiring.credits[t.from as usize] else {
+                    continue;
+                };
+                let vc = t.in_vc as usize;
+                for _ in 0..self.credit_copies() {
+                    match sink {
+                        CreditSink::Router {
+                            shard,
+                            router,
+                            port,
+                        } => self.shards[shard as usize].routers[router as usize]
+                            .return_credit(port as usize, vc),
+                        CreditSink::Ni { shard, node } => {
+                            self.shards[shard as usize].nis[node as usize].vc_credits[vc] += 1;
                         }
                     }
                 }
@@ -1059,8 +1067,8 @@ impl NocSim {
             w.usize(total);
             for shard in &self.shards {
                 for a in &shard.events[idx] {
-                    save_link_dest(&mut w, a.target);
-                    w.usize(a.vc);
+                    save_link_dest(&mut w, a.target());
+                    w.usize(a.vc as usize);
                     save_flit(&mut w, &a.flit, &remap)?;
                 }
             }
@@ -1222,7 +1230,7 @@ impl NocSim {
                     LinkDest::Router { router, .. } => self.router_shard[router] as usize,
                     LinkDest::Eject { node } => self.node_shard(node),
                 };
-                self.shards[s].events[idx].push(Arrival { target, vc, flit });
+                self.shards[s].events[idx].push(Arrival::new(target, vc, flit));
             }
         }
         let mut active = Vec::with_capacity(num_routers);
@@ -1287,17 +1295,6 @@ impl NocSim {
         self.tracing = false;
         self.fatal = None;
         Ok(())
-    }
-
-    /// Schedules an arrival into the ring of the shard owning the target
-    /// router (ejection paths belong to the node's local router).
-    fn schedule(&mut self, at: u64, target: LinkDest, vc: usize, flit: Flit) {
-        let s = match target {
-            LinkDest::Router { router, .. } => self.router_shard[router] as usize,
-            LinkDest::Eject { node } => self.node_shard(node),
-        };
-        let now = self.cycle;
-        self.shards[s].schedule(at, target, vc, flit, now);
     }
 
     fn eject_flit(&mut self, node: usize, flit: Flit, now: u64) {

@@ -176,3 +176,95 @@ fn watchdog_stays_quiet_on_healthy_runs() {
     sim.try_run(5_000).expect("idle network is not a deadlock");
     assert_eq!(sim.stats().faults.bound_violations, 0);
 }
+
+/// Every router-level fault site at once on the paper's 4x4 cmesh: link bit
+/// flips, port stalls, and credits both dropped and duplicated. A duplicated
+/// credit lets the upstream hop send more flits than the downstream VC has
+/// slots, so these are the only runs that overfill a VC buffer; the router
+/// must queue the surplus in FIFO order rather than drop or reorder it.
+/// Renders every statistic, fault counter and activity counter.
+fn faulted_cmesh_fingerprint(shards: usize) -> String {
+    let config = NocConfig::paper_4x4_cmesh();
+    let nodes = config.num_nodes();
+    let mut sim = NocSim::new(config, (0..nodes).map(|_| NodeCodec::baseline()).collect());
+    sim.set_shards(shards);
+    sim.set_fault_plan(FaultPlan {
+        seed: 0xC4ED,
+        link_bit_flip_ppm: 30_000,
+        port_stall_ppm: 20_000,
+        stall_cycles: 4,
+        credit_drop_ppm: 2_000,
+        credit_dup_ppm: 80_000,
+        dict_corrupt_ppm: 0,
+    });
+    sim.set_bound_check(ErrorThreshold::from_percent(10).expect("valid"));
+    sim.set_watchdog(50_000);
+    let mut rng = Pcg32::seed_from_u64(0x000F_100D);
+    sim.begin_measurement();
+    for _ in 0..900 {
+        for node in 0..nodes {
+            let roll = rng.below(100);
+            if roll >= 7 {
+                continue;
+            }
+            let mut d = rng.below(nodes as u32) as usize;
+            if d == node {
+                d = (d + 1) % nodes;
+            }
+            if roll < 3 {
+                sim.enqueue_control(NodeId(node as u16), NodeId(d as u16));
+            } else {
+                let w = rng.next_u32() as i32;
+                sim.enqueue_data(
+                    NodeId(node as u16),
+                    NodeId(d as u16),
+                    CacheBlock::from_i32(&[w; 16]),
+                );
+            }
+        }
+        sim.step();
+        sim.discard_delivered();
+    }
+    assert!(
+        sim.try_drain(200_000).expect("drain must not deadlock"),
+        "workload failed to drain"
+    );
+    let s = sim.stats();
+    let f = &s.faults;
+    let a = sim.activity_report().routers;
+    format!(
+        "cyc={} pk={} fi={} fd={} ql={} nl={} p99={} flips={} stalls={} cdrop={} cdup={} \
+         checked={} viol={} bw={} br={} va={} xb={} lt={}",
+        s.cycles,
+        s.packets,
+        s.flits_injected,
+        s.flits_delivered,
+        s.queue_lat_sum,
+        s.net_lat_sum,
+        s.latency_histogram.percentile(99.0),
+        f.bit_flips,
+        f.port_stalls,
+        f.credits_dropped,
+        f.credits_duplicated,
+        f.bound_checked_words,
+        f.bound_violations,
+        a.buffer_writes,
+        a.buffer_reads,
+        a.vc_allocs,
+        a.crossbar_traversals,
+        a.link_traversals,
+    )
+}
+
+/// Golden kernel fingerprint with faults active: a change to the router's
+/// state layout must reproduce it bit for bit, overfilled VCs included, on
+/// any shard count.
+#[test]
+fn faulted_kernel_fingerprint_is_pinned() {
+    const GOLDEN: &str =
+        "cyc=1108 pk=2094 fi=11790 fd=11790 ql=34471 nl=143393 p99=319 flips=1167 stalls=835 \
+         cdrop=84 cdup=3327 checked=19392 viol=196 bw=41462 br=41462 va=7422 xb=41462 lt=29672";
+    let serial = faulted_cmesh_fingerprint(1);
+    assert_eq!(serial, GOLDEN);
+    assert_eq!(faulted_cmesh_fingerprint(3), serial);
+}

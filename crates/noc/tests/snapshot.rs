@@ -393,3 +393,34 @@ proptest! {
         prop_assert_eq!(fingerprint(&sim), fingerprint(&restored));
     }
 }
+
+/// The snapshot wire format is independent of the router's in-memory layout:
+/// the bytes saved mid-run from a faulted 4x4 cmesh (duplicated credits
+/// overfilling VCs, stalled ports, flipped bits) hash to a pinned digest.
+#[test]
+fn faulted_snapshot_bytes_are_pinned() {
+    const GOLDEN: (usize, u64) = (86_876, 0xDDD4_E17E_F8B9_79CE);
+    let mut sim = baseline_sim(NocConfig::paper_4x4_cmesh());
+    sim.set_fault_plan(FaultPlan {
+        seed: 0x5AFE,
+        link_bit_flip_ppm: 30_000,
+        port_stall_ppm: 20_000,
+        stall_cycles: 4,
+        credit_drop_ppm: 2_000,
+        credit_dup_ppm: 80_000,
+        dict_corrupt_ppm: 0,
+    });
+    sim.begin_measurement();
+    for c in 0..300 {
+        offer_traffic(&mut sim, 9, c);
+        sim.step();
+        sim.discard_delivered();
+    }
+    assert!(sim.outstanding_packets() > 0, "want packets mid-flight");
+    let blob = sim.save_snapshot(FP).expect("save");
+    assert_eq!(
+        (blob.len(), anoc_exec::hash::fnv1a64(&blob)),
+        GOLDEN,
+        "snapshot bytes changed"
+    );
+}
