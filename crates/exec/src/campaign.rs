@@ -8,12 +8,13 @@
 //! [`ResultCache`] and [`ResultCodec`] are supplied, cached cells skip
 //! simulation entirely and fresh results are written back for next time.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::cache::ResultCache;
-use crate::pool::ThreadPool;
+use crate::pool::{host_cores, ThreadPool};
 use crate::progress::Progress;
 
 /// A shared warm-start stage a job depends on.
@@ -213,6 +214,49 @@ impl<T> CampaignOutcome<T> {
     }
 }
 
+thread_local! {
+    /// The thread budget of the campaign cell running on this thread.
+    static CELL_THREADS: Cell<usize> = const { Cell::new(1) };
+}
+
+/// How many threads the campaign cell running on the calling thread may
+/// use inside itself, e.g. for a sharded simulation: 1 outside a campaign.
+pub fn cell_threads() -> usize {
+    CELL_THREADS.with(Cell::get)
+}
+
+/// The thread budget of each of `cells` cells executed at once on a pool
+/// of `pool_threads` workers on a host with `cores` cores: the pool's
+/// threads, capped at the cores, shared evenly, and never below one. A
+/// campaign with fewer cells than threads hands the idle threads to its
+/// cells; a wide one leaves every cell serial.
+pub fn cell_thread_budget(pool_threads: usize, cores: usize, cells: usize) -> usize {
+    (pool_threads.min(cores) / cells.max(1)).max(1)
+}
+
+/// [`cell_thread_budget`] for `cells` cells on `pool` on this host; asks
+/// for the host's cores only when the pool has threads to spare.
+fn campaign_cell_budget(pool: &ThreadPool, cells: usize) -> usize {
+    if pool.threads() <= cells {
+        1
+    } else {
+        cell_thread_budget(pool.threads(), host_cores(), cells)
+    }
+}
+
+/// Runs `work` with [`cell_threads`] reporting `budget`, restoring the
+/// previous budget afterwards even if `work` panics.
+fn with_cell_threads<R>(budget: usize, work: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CELL_THREADS.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(CELL_THREADS.with(|c| c.replace(budget)));
+    work()
+}
+
 /// Attempts a cache write with bounded retries (transient filesystem
 /// failures — e.g. a concurrent cleaner — should not cost a re-simulation
 /// next run). The final error is reported to stderr, never propagated.
@@ -324,7 +368,14 @@ pub fn run_campaign_checked<T: Send + 'static>(
         }
     }
     if !warmups.is_empty() {
-        let (keys, tasks): (Vec<String>, Vec<WarmupWork>) = warmups.into_iter().unzip();
+        let budget = campaign_cell_budget(pool, warmups.len());
+        let (keys, tasks): (Vec<String>, Vec<WarmupWork>) = warmups
+            .into_iter()
+            .map(|(key, work)| {
+                let work: WarmupWork = Box::new(move || with_cell_threads(budget, work));
+                (key, work)
+            })
+            .unzip();
         for (i, outcome) in pool.run_ordered_results(tasks).into_iter().enumerate() {
             if let Err(msg) = outcome {
                 eprintln!(
@@ -336,7 +387,9 @@ pub fn run_campaign_checked<T: Send + 'static>(
     }
 
     // Phase 2: execute the misses in parallel, isolating panics per cell.
+    // Each cell may use its share of the threads the pool leaves idle.
     let executed = misses.len();
+    let budget = campaign_cell_budget(pool, executed);
     let ids: Vec<String> = misses.iter().map(|(_, j)| j.id.clone()).collect();
     let keys: Vec<String> = misses.iter().map(|(_, j)| j.key.clone()).collect();
     let plan_indices: Vec<usize> = misses.iter().map(|(idx, _)| *idx).collect();
@@ -349,7 +402,7 @@ pub fn run_campaign_checked<T: Send + 'static>(
             Box::new(move || {
                 progress.job_started();
                 let t = Instant::now();
-                let value = work();
+                let value = with_cell_threads(budget, work);
                 (t.elapsed(), value)
             }) as TimedTask<T>
         })
@@ -443,6 +496,53 @@ mod tests {
         (0..n)
             .map(|i| JobSpec::new(format!("sq/{i}"), format!("square v1 n={i}"), move || i * i))
             .collect()
+    }
+
+    #[test]
+    fn cell_thread_budget_never_exceeds_the_pool_or_the_cores() {
+        // One cell on a 2-thread pool on 2 cores gets both threads.
+        assert_eq!(cell_thread_budget(2, 2, 1), 2);
+        // A wide campaign leaves every cell serial.
+        assert_eq!(cell_thread_budget(2, 2, 192), 1);
+        assert_eq!(cell_thread_budget(2, 2, 384), 1);
+        assert_eq!(cell_thread_budget(8, 8, 3), 2);
+        // Never above the pool's threads, never above the host's cores,
+        // never below one; together the cells use no more threads than
+        // both allow, unless there are more cells than that, each serial.
+        for pool in 1..=16 {
+            for cores in 1..=16 {
+                let room = pool.min(cores);
+                for cells in 1..=40 {
+                    let b = cell_thread_budget(pool, cores, cells);
+                    assert!(b >= 1 && b <= room, "{pool} {cores} {cells}");
+                    if cells <= room {
+                        assert!(b * cells <= room, "{pool} {cores} {cells}");
+                    } else {
+                        assert_eq!(b, 1);
+                    }
+                }
+            }
+        }
+        assert_eq!(cell_thread_budget(8, 2, 1), 2);
+        assert_eq!(cell_thread_budget(2, 8, 1), 2);
+    }
+
+    #[test]
+    fn cells_see_their_thread_budget_and_it_is_restored() {
+        let pool = ThreadPool::new(2);
+        let budget = |cells: u64| -> Vec<usize> {
+            let jobs = (0..cells)
+                .map(|i| JobSpec::new(format!("b{i}"), format!("b{i}"), cell_threads))
+                .collect();
+            run_campaign(&pool, None, jobs, &CampaignOptions::quiet(), None).0
+        };
+        assert_eq!(budget(1), vec![2.min(host_cores())]);
+        assert!(budget(6).iter().all(|&b| b == 1));
+        // Outside a campaign, and on a pool thread between campaigns, the
+        // budget is back to serial.
+        assert_eq!(cell_threads(), 1);
+        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![Box::new(cell_threads)];
+        assert_eq!(pool.run_ordered(jobs), vec![1]);
     }
 
     #[test]

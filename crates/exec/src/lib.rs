@@ -48,8 +48,8 @@ pub mod snapshot_store;
 
 pub use cache::ResultCache;
 pub use campaign::{
-    run_campaign, run_campaign_checked, CampaignOptions, CampaignOutcome, CampaignReport,
-    CellError, CellFailure, JobSpec, ResultCodec, WarmupSpec,
+    cell_thread_budget, cell_threads, run_campaign, run_campaign_checked, CampaignOptions,
+    CampaignOutcome, CampaignReport, CellError, CellFailure, JobSpec, ResultCodec, WarmupSpec,
 };
-pub use pool::{plan_threads, ThreadPool, WorkerSet};
+pub use pool::{host_cores, plan_threads, ThreadPool, WorkerSet};
 pub use snapshot_store::SnapshotStore;

@@ -161,9 +161,9 @@ impl ThreadPool {
     }
 }
 
-/// A job for one pinned worker: a caller-chosen tag, the owned item, and the
-/// closure to run on it.
-type PinnedJob<T> = (usize, T, Box<dyn FnOnce(&mut T) + Send + 'static>);
+/// A round for one pinned worker: a caller-chosen tag, the owned item, and
+/// the message the set's job function runs it with.
+type PinnedJob<T, M> = (usize, T, M);
 
 /// Slot states for the spin-synchronized per-worker mailbox.
 const SLOT_IDLE: u8 = 0; // empty: the submitter may stage a job
@@ -190,24 +190,68 @@ fn spin_budget(cpus: usize, spinning: usize) -> u32 {
 /// One worker's mailbox. The `Mutex`es are never contended (states hand
 /// exclusive access back and forth); they exist to move the values across
 /// threads in safe Rust while the atomic state carries the synchronization.
-struct Slot<T> {
+struct Slot<T, M> {
     state: std::sync::atomic::AtomicU8,
-    job: Mutex<Option<PinnedJob<T>>>,
+    job: Mutex<Option<PinnedJob<T, M>>>,
     result: Mutex<Option<(usize, T, Option<String>)>>,
+    /// The thread serving this slot, known once its loop has started;
+    /// [`WorkerSet::submit`] wakes it.
+    thread: std::sync::OnceLock<std::thread::Thread>,
 }
 
-struct SetShared<T> {
-    slots: Vec<Slot<T>>,
+struct SetShared<T, M> {
+    slots: Vec<Slot<T, M>>,
     /// [`spin_budget`] for the workers plus the submitting thread.
     spin: u32,
     shutdown: std::sync::atomic::AtomicBool,
     outstanding: std::sync::atomic::AtomicUsize,
 }
 
+/// One worker set's loop for a worker thread, and the sender the thread
+/// drops once the loop has returned and the thread is a spare again.
+type WorkerLoop = (Box<dyn FnOnce() + Send + 'static>, Sender<()>);
+
+/// Threads whose worker set was dropped, each parked on its channel until
+/// the next set hands it a loop. A process that runs many sharded
+/// simulations spawns its worker threads once, and none of them exits
+/// mid-run (thread teardown also touches memory the run never needed).
+static SPARE_THREADS: Mutex<Vec<Sender<WorkerLoop>>> = Mutex::new(Vec::new());
+
+/// Runs a worker loop on a spare thread, or on a new thread named `name`
+/// when none is parked.
+fn start_worker(name: String, mut work: WorkerLoop) {
+    while let Some(spare) = lock(&SPARE_THREADS).pop() {
+        match spare.send(work) {
+            Ok(()) => return,
+            // That thread died (a worker loop panicked): try the next.
+            Err(returned) => work = returned.0,
+        }
+    }
+    let (tx, rx) = channel::<WorkerLoop>();
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let mut next = Some(work);
+            while let Some((work, stopped)) = next {
+                work();
+                lock(&SPARE_THREADS).push(tx.clone());
+                drop(stopped);
+                next = rx.recv().ok();
+            }
+        })
+        .expect("spawn pinned worker thread");
+}
+
 /// A set of persistent worker threads that operate on *owned* state handed
 /// back and forth each round — the safe-Rust alternative to scoped mutable
 /// sharing for phase-synchronous kernels (the sharded NoC cycle loop sends
 /// each shard out for a phase and receives it back at the barrier).
+///
+/// Every worker runs the one job function the set was built with; a round
+/// hands it an item and a small `Copy` message (the cycle kernel sends the
+/// cycle context and the phase), so a handoff allocates nothing. Dropping
+/// the set returns its threads to a process-wide spare list for the next
+/// set instead of ending them.
 ///
 /// Unlike [`ThreadPool`], submissions are pinned to a specific worker, and
 /// the handoff is a spin-synchronized mailbox rather than a channel: the
@@ -216,38 +260,50 @@ struct SetShared<T> {
 /// entire phase of useful work. Workers spin briefly between jobs (parking
 /// with a timeout once idle), so a barrier round trip stays in the
 /// microsecond range while an idle set costs almost nothing.
-pub struct WorkerSet<T: Send + 'static> {
-    shared: Arc<SetShared<T>>,
-    handles: Vec<JoinHandle<()>>,
+pub struct WorkerSet<T: Send + 'static, M: Copy + Send + 'static> {
+    shared: Arc<SetShared<T, M>>,
+    /// Closes once every worker thread is a spare again (each holds a
+    /// sender until then).
+    stopped: Receiver<()>,
 }
 
-impl<T: Send + 'static> WorkerSet<T> {
-    /// Spawns `workers` persistent threads (minimum 1) named `{name}-{i}`.
+impl<T: Send + 'static, M: Copy + Send + 'static> WorkerSet<T, M> {
+    /// Starts `workers` persistent worker loops (minimum 1), on spare
+    /// threads first and on new threads named `{name}-{i}` otherwise, each
+    /// running `job(&mut item, message)` for every round it is handed.
     /// Waits spin only if the workers and the submitting thread all fit in
     /// the host's cores.
-    pub fn new(workers: usize, name: &str) -> Self {
+    pub fn new(
+        workers: usize,
+        name: &str,
+        job: impl Fn(&mut T, M) + Send + Sync + 'static,
+    ) -> Self {
         use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
         let workers = workers.max(1);
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let shared = Arc::new(SetShared {
-            spin: spin_budget(cpus, workers + 1),
+            spin: spin_budget(host_cores(), workers + 1),
             slots: (0..workers)
                 .map(|_| Slot {
                     state: AtomicU8::new(SLOT_IDLE),
                     job: Mutex::new(None),
                     result: Mutex::new(None),
+                    thread: std::sync::OnceLock::new(),
                 })
                 .collect(),
             shutdown: AtomicBool::new(false),
             outstanding: AtomicUsize::new(0),
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || {
+        let job = Arc::new(job);
+        let (running, stopped) = channel::<()>();
+        for i in 0..workers {
+            let shared = Arc::clone(&shared);
+            let job = Arc::clone(&job);
+            start_worker(
+                format!("{name}-{i}"),
+                (
+                    Box::new(move || {
                         let slot = &shared.slots[i];
+                        let _ = slot.thread.set(std::thread::current());
                         loop {
                             // Wait for a job: spin first, then park with a
                             // timeout (submit unparks, the timeout is a
@@ -267,46 +323,42 @@ impl<T: Send + 'static> WorkerSet<T> {
                                     std::thread::park_timeout(std::time::Duration::from_millis(1));
                                 }
                             }
-                            let (tag, mut item, job) = lock(&slot.job)
+                            let (tag, mut item, message) = lock(&slot.job)
                                 .take()
                                 .expect("READY slot always holds a job");
                             slot.state.store(SLOT_RUNNING, Ordering::Release);
-                            // Isolate panics so the item always comes home;
-                            // the submitting thread re-throws on receive.
-                            let outcome = catch_unwind(AssertUnwindSafe(|| job(&mut item)));
+                            // Isolate panics so the item always comes home; the
+                            // submitting thread re-throws on receive.
+                            let outcome =
+                                catch_unwind(AssertUnwindSafe(|| job(&mut item, message)));
                             let failed = outcome.err().map(|p| panic_message(p.as_ref()));
                             *lock(&slot.result) = Some((tag, item, failed));
                             slot.state.store(SLOT_DONE, Ordering::Release);
                         }
-                    })
-                    .expect("spawn pinned worker thread")
-            })
-            .collect();
-        WorkerSet { shared, handles }
+                    }),
+                    running.clone(),
+                ),
+            );
+        }
+        WorkerSet { shared, stopped }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.handles.len()
+        self.shared.slots.len()
     }
 
-    /// Hands `item` to worker `worker` (modulo the worker count) to run
-    /// `job`; `tag` is echoed back by [`WorkerSet::recv`]. Returns `false`
-    /// if the set is shutting down. If that worker still has an uncollected
-    /// job, waits for the slot to clear (a previous `recv` must collect it).
-    pub fn submit(
-        &self,
-        worker: usize,
-        tag: usize,
-        item: T,
-        job: impl FnOnce(&mut T) + Send + 'static,
-    ) -> bool {
+    /// Hands `item` to worker `worker` (modulo the worker count) to run the
+    /// set's job with `message`; `tag` is echoed back by
+    /// [`WorkerSet::recv`]. Returns `false` if the set is shutting down. If
+    /// that worker still has an uncollected job, waits for the slot to clear
+    /// (a previous `recv` must collect it).
+    pub fn submit(&self, worker: usize, tag: usize, item: T, message: M) -> bool {
         use std::sync::atomic::Ordering;
         if self.shared.shutdown.load(Ordering::Acquire) {
             return false;
         }
-        let idx = worker % self.handles.len();
-        let slot = &self.shared.slots[idx];
+        let slot = &self.shared.slots[worker % self.shared.slots.len()];
         // One job in flight per worker: wait out a slot still carrying the
         // previous round (it can only drain through recv on this thread's
         // schedule, so this is effectively never hit by the cycle kernel).
@@ -319,10 +371,14 @@ impl<T: Send + 'static> WorkerSet<T> {
                 std::thread::yield_now();
             }
         }
-        *lock(&slot.job) = Some((tag, item, Box::new(job)));
+        *lock(&slot.job) = Some((tag, item, message));
         slot.state.store(SLOT_READY, Ordering::Release);
         self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.handles[idx].thread().unpark();
+        // A worker whose loop has not started yet sees READY before it
+        // first parks.
+        if let Some(thread) = slot.thread.get() {
+            thread.unpark();
+        }
         true
     }
 
@@ -370,17 +426,20 @@ fn lock<V>(m: &Mutex<V>) -> std::sync::MutexGuard<'_, V> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl<T: Send + 'static> Drop for WorkerSet<T> {
+impl<T: Send + 'static, M: Copy + Send + 'static> Drop for WorkerSet<T, M> {
+    /// Stops every worker loop and waits until each has returned its thread
+    /// to the spare list.
     fn drop(&mut self) {
         self.shared
             .shutdown
             .store(true, std::sync::atomic::Ordering::Release);
-        for h in &self.handles {
-            h.thread().unpark();
+        for slot in &self.shared.slots {
+            if let Some(thread) = slot.thread.get() {
+                thread.unpark();
+            }
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        // Every worker thread holds a sender until it is a spare again.
+        let _ = self.stopped.recv();
     }
 }
 
@@ -418,16 +477,23 @@ impl Drop for ThreadPool {
 }
 
 /// The default worker count: the `ANOC_THREADS` environment variable if set
-/// (minimum 1), otherwise `std::thread::available_parallelism`.
+/// (minimum 1), otherwise [`host_cores`].
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("ANOC_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.max(1);
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    host_cores()
+}
+
+/// The host's core count (`std::thread::available_parallelism`, at least
+/// 1), asked once per process: the query reads the cgroup files, which
+/// costs time and heap on every call.
+pub fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 #[cfg(test)]
@@ -581,14 +647,12 @@ mod tests {
 
     #[test]
     fn worker_set_pins_items_and_returns_them() {
-        let set: WorkerSet<Vec<u32>> = WorkerSet::new(3, "test");
+        let set = WorkerSet::new(3, "test", |v: &mut Vec<u32>, x: u32| v.push(x));
         assert_eq!(set.workers(), 3);
         // Dispatch one owned item to each worker, mutate it there, and
         // collect everything back by tag.
         for tag in 0..3usize {
-            let sent = set.submit(tag, tag, vec![tag as u32], move |v| {
-                v.push(99);
-            });
+            let sent = set.submit(tag, tag, vec![tag as u32], 99);
             assert!(sent);
         }
         let mut got: Vec<Option<Vec<u32>>> = vec![None; 3];
@@ -603,8 +667,8 @@ mod tests {
 
     #[test]
     fn worker_set_propagates_panics_to_the_receiver() {
-        let set: WorkerSet<u32> = WorkerSet::new(1, "panicky");
-        assert!(set.submit(0, 7, 1, |_| panic!("shard blew up")));
+        let set = WorkerSet::new(1, "panicky", |_: &mut u32, ()| panic!("shard blew up"));
+        assert!(set.submit(0, 7, 1, ()));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set.recv()));
         assert!(caught.is_err(), "worker panic must resurface on recv");
     }

@@ -51,9 +51,13 @@ options:
   --cycles N    measured simulation cycles (default varies per target)
   --seed N      traffic/data RNG seed (default 42)
   --threads N   worker threads (default: ANOC_THREADS or all cores)
-  --shards N    worker shards inside each simulation (default 1 = serial;
-                capped at the thread budget; results are bit-identical
-                for any value)
+  --shards N    worker shards inside each simulation (1 = serial; capped at
+                the thread budget; results are bit-identical for any
+                value). Default: automatic -- a campaign hands the threads
+                its cells leave idle to them, and a simulation with at
+                least 128 routers (12x12 and up) takes one shard per 64
+                routers within its share; smaller meshes and wide
+                campaigns stay serial
   --grids N     scale target only: sweep the N smallest meshes (default 3)
   --no-cache    always simulate; do not read or write the result cache
                 (also disables the warm-start snapshot store)
@@ -123,7 +127,7 @@ impl Default for Opts {
             cycles: 0,
             seed: 42,
             threads: None,
-            shards: 1,
+            shards: 0,
             grids: 3,
             no_cache: false,
             checkpoint_every: 0,
@@ -317,22 +321,22 @@ const SCALE_MAX_SHARDS: usize = 4;
 /// With `shards` threads serving each simulation, [`anoc_exec::plan_threads`]
 /// clamps `shards` to the budget and runs at most `budget / shards` cells at
 /// once, so `--shards` never oversubscribes the host. Returns
-/// `(campaign workers, shards)`; serial runs keep the default worker count.
+/// `(campaign workers, shards)`; serial runs keep the default worker count,
+/// and so do unset (0) shard counts, which each campaign resolves per cell
+/// within its own thread budget.
 fn thread_plan(threads: Option<usize>, shards: usize, cores: usize) -> (Option<usize>, usize) {
     if shards <= 1 {
-        return (threads, 1);
+        return (threads, shards);
     }
     let (workers, shards) = anoc_exec::plan_threads(threads.unwrap_or(cores), shards);
     (Some(workers), shards)
 }
 
 /// Applies [`thread_plan`] for this host to `opts`, asking for `--shards`,
-/// else `default_shards`; returns the campaign worker count.
+/// else `default_shards` (0 = unset); returns the campaign worker count.
 fn plan_host_threads(opts: &mut Opts, default_shards: usize) -> Option<usize> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let requested = if opts.shards > 1 {
+    let cores = anoc_exec::host_cores();
+    let requested = if opts.shards > 0 {
         opts.shards
     } else {
         default_shards
@@ -343,17 +347,20 @@ fn plan_host_threads(opts: &mut Opts, default_shards: usize) -> Option<usize> {
 }
 
 /// The configuration for one target: its default cycle budget unless
-/// `--cycles` overrode it, with the CLI seed threaded through.
+/// `--cycles` overrode it, with the CLI seed and shard count (0 = unset)
+/// threaded through.
 fn config(opts: &Opts, default_cycles: u64) -> SystemConfig {
     let cycles = if opts.cycles == 0 {
         default_cycles
     } else {
         opts.cycles
     };
-    SystemConfig::paper()
-        .with_sim_cycles(cycles)
-        .with_seed(opts.seed)
-        .with_shards(opts.shards)
+    SystemConfig {
+        shards: opts.shards,
+        ..SystemConfig::paper()
+    }
+    .with_sim_cycles(cycles)
+    .with_seed(opts.seed)
 }
 
 fn execute(cmd: Command) -> Result<(), String> {
@@ -361,10 +368,11 @@ fn execute(cmd: Command) -> Result<(), String> {
         Command::Run { target, mut opts } => {
             // `scale` compares serial against sharded, so it shards by
             // default: up to SCALE_MAX_SHARDS, capped at the core count.
+            // Every other target leaves the count unset (automatic).
             let default_shards = if target == "scale" {
                 SCALE_MAX_SHARDS
             } else {
-                1
+                0
             };
             let workers = plan_host_threads(&mut opts, default_shards);
             install_context(&opts, workers)?;
@@ -865,11 +873,13 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         // `scale` works as a bare alias like every other target, `--shards`
-        // threads into any target's config, and 0 clamps to serial.
+        // threads into any target's config, and 0 clamps to serial. Without
+        // `--shards` the count stays unset (automatic) into the config.
         match parse_strs(&["scale"]).expect("parse") {
             Command::Run { target, opts } => {
                 assert_eq!(target, "scale");
-                assert_eq!(opts.shards, 1);
+                assert_eq!(opts.shards, 0);
+                assert_eq!(config(&opts, 1_000).shards, 0);
                 assert_eq!(opts.grids, 3);
             }
             other => panic!("wrong command {other:?}"),
@@ -886,9 +896,12 @@ mod tests {
 
     #[test]
     fn shards_never_exceed_the_thread_budget() {
-        // Serial runs keep the default campaign worker count.
+        // Serial runs keep the default campaign worker count, and so do
+        // unset counts, which each campaign resolves within its budget.
         assert_eq!(thread_plan(None, 1, 2), (None, 1));
         assert_eq!(thread_plan(Some(3), 1, 2), (Some(3), 1));
+        assert_eq!(thread_plan(None, 0, 2), (None, 0));
+        assert_eq!(thread_plan(Some(3), 0, 2), (Some(3), 0));
         // `--shards 4` on 2 cores: 2 shards, one cell at a time.
         assert_eq!(thread_plan(None, 4, 2), (Some(1), 2));
         assert_eq!(thread_plan(None, 4, 1), (Some(1), 1));

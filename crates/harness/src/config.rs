@@ -168,7 +168,9 @@ pub struct SystemConfig {
     pub qos: QosSpec,
     /// Watchdog no-forward-progress horizon in cycles (0 disables).
     pub watchdog_horizon: u64,
-    /// Worker shards for the parallel cycle kernel (1 = serial). Sharded
+    /// Worker shards for the parallel cycle kernel: 1 = serial, 0 = unset,
+    /// which lets the runner pick a count from the network size and the
+    /// campaign cell's thread budget (`runner::auto_shards`). Sharded
     /// execution is bit-identical to serial (DESIGN.md §10), so this knob is
     /// deliberately excluded from the result-cache `config_key`.
     pub shards: usize,
@@ -189,7 +191,7 @@ impl SystemConfig {
             loss: LossPlan::none(),
             qos: QosSpec::off(),
             watchdog_horizon: 20_000,
-            shards: 1,
+            shards: 0,
         }
     }
 
@@ -259,9 +261,10 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the shard count of the parallel cycle kernel (1 = serial).
-    /// Results are bit-identical for any value, so this never invalidates
-    /// cached results.
+    /// Fixes the shard count of the parallel cycle kernel (1 = serial; 0
+    /// also means serial here — leave the field unset for the automatic
+    /// count). Results are bit-identical for any value, so this never
+    /// invalidates cached results.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);

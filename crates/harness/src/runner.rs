@@ -210,7 +210,7 @@ pub fn try_run_custom(
         "traffic source and NoC disagree on node count"
     );
     let mut sim = NocSim::new(config.noc.clone(), codecs);
-    sim.set_shards(config.shards);
+    sim.set_shards(run_shards(config, anoc_exec::cell_threads()));
     sim.set_fault_plan(config.faults);
     sim.set_loss_plan(config.loss);
     sim.set_qos(config.qos);
@@ -273,12 +273,38 @@ fn drive(
 fn fresh_sim(mechanism: Mechanism, config: &SystemConfig) -> NocSim {
     let codecs = mechanism.codecs(config.noc.num_nodes(), ErrorThreshold::exact());
     let mut sim = NocSim::new(config.noc.clone(), codecs);
-    sim.set_shards(config.shards);
+    sim.set_shards(run_shards(config, anoc_exec::cell_threads()));
     sim.set_fault_plan(config.faults);
     sim.set_loss_plan(config.loss);
     sim.set_qos(config.qos);
     sim.set_watchdog(config.watchdog_horizon);
     sim
+}
+
+/// Fewest routers each shard of an automatically sharded simulation owns.
+/// Measured on a 2-core host, 2 shards against serial, uniform-random
+/// traffic at 0.085 flits/node/cycle, 5 interleaved pairs each (median
+/// speedup): 4x4 cmesh (8 routers a shard) 0.30x, 8x8 (32) 1.04x, 10x10
+/// (50) 1.15x with pairs as low as 0.83x, 12x12 (72) 1.35x, 16x16 (128)
+/// 1.48x. Below about 64 routers a shard, the two phase barriers per cycle
+/// cost as much as the allocation work they split.
+pub const MIN_ROUTERS_PER_SHARD: usize = 64;
+
+/// The shard count for a simulation of `routers` routers left to choose its
+/// own, given the `cell_threads` its campaign cell may use: one shard per
+/// [`MIN_ROUTERS_PER_SHARD`] routers, at most one per thread, at least one.
+pub fn auto_shards(routers: usize, cell_threads: usize) -> usize {
+    (routers / MIN_ROUTERS_PER_SHARD).clamp(1, cell_threads.max(1))
+}
+
+/// The shard count a run steps with: the configured count, or, when it is
+/// unset (0), [`auto_shards`] for this network and the `cell_threads` the
+/// campaign gave the calling cell. Results are the same either way.
+fn run_shards(config: &SystemConfig, cell_threads: usize) -> usize {
+    match config.shards {
+        0 => auto_shards(config.noc.num_routers(), cell_threads),
+        n => n,
+    }
 }
 
 /// The measurement boundary of a staged run: retarget the encoders to the
@@ -799,6 +825,53 @@ mod tests {
         let cut = run_benchmark(Benchmark::Blackscholes, Mechanism::Baseline, &cfg, 7);
         assert!(!cut.drained, "1-cycle drain budget reported as complete");
         assert!(cut.stats.unfinished > 0, "stragglers not recorded");
+    }
+
+    #[test]
+    fn automatic_shards_fit_the_budget_and_skip_small_meshes() {
+        use anoc_exec::cell_thread_budget;
+        let paper = SystemConfig::paper();
+        assert_eq!(paper.shards, 0, "the paper config leaves shards unset");
+        let routers = |w: usize, h: usize| anoc_noc::NocConfig::cmesh(w, h, 2).num_routers();
+        // 4x4 and 8x8 stay serial whatever the budget.
+        for threads in 1..=64 {
+            assert_eq!(auto_shards(routers(4, 4), threads), 1);
+            assert_eq!(auto_shards(routers(8, 8), threads), 1);
+        }
+        // big-mesh: one 16x16 cell on a 2-thread pool on 2 cores.
+        assert_eq!(auto_shards(routers(16, 16), cell_thread_budget(2, 2, 1)), 2);
+        // paper-matrix: 192 cells on 2 threads leave every cell serial.
+        assert_eq!(
+            auto_shards(routers(16, 16), cell_thread_budget(2, 2, 192)),
+            1
+        );
+        // Never more shards than the cell's budget, so never more than the
+        // pool's threads or the host's cores.
+        for (w, h) in [(4, 4), (8, 8), (12, 12), (16, 16), (32, 32), (64, 64)] {
+            for pool in 1..=8 {
+                for cores in 1..=8 {
+                    for cells in 1..=4 {
+                        let budget = cell_thread_budget(pool, cores, cells);
+                        let s = auto_shards(routers(w, h), budget);
+                        assert!(s >= 1 && s <= budget && s <= pool && s <= cores);
+                    }
+                }
+            }
+        }
+        // An explicit count always wins, 1 included; only an unset one is
+        // chosen automatically.
+        let big = SystemConfig {
+            noc: anoc_noc::NocConfig::cmesh_16x16(),
+            ..SystemConfig::paper()
+        };
+        for threads in [1, 2, 8] {
+            assert_eq!(run_shards(&big.clone().with_shards(1), threads), 1);
+            assert_eq!(run_shards(&big.clone().with_shards(3), threads), 3);
+            assert_eq!(run_shards(&paper.clone().with_shards(4), threads), 4);
+            assert_eq!(run_shards(&big, threads), auto_shards(256, threads));
+        }
+        assert_eq!(run_shards(&big, 2), 2);
+        assert_eq!(run_shards(&paper, 2), 1);
     }
 
     #[test]

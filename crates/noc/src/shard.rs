@@ -8,20 +8,28 @@
 //! * **Phase A** (parallel): each shard drains its own ring slot into local
 //!   router buffers and runs VC + switch allocation over its routers,
 //!   reading only last-cycle-edge state and writing only shard-local state.
-//!   Ejections and trace lookups that would touch another shard's slab are
-//!   deferred into per-shard output queues.
-//! * **Cycle edge** (serial): the simulator walks shards in index order,
-//!   processing deferred ejections and applying link traversals — flit
-//!   scheduling into the *target* shard's ring and credit returns to the
-//!   *upstream* shard's routers/NIs. Because shards own contiguous
-//!   ascending router ranges and phase A emits grants in local
-//!   router-ascending order, the shard-concatenated traversal sequence is
-//!   globally router-ascending: exactly the order the single-shard kernel
-//!   produces, so sequential fault-RNG draws are shard-count-independent.
-//! * **Phase B2** (parallel): each shard injects at most one flit per local
-//!   NI into its *own* ring (a node's router is always in its own shard),
-//!   tallying injection statistics into order-independent integer counters
-//!   merged serially afterwards.
+//!   It resolves every grant through the shared [`Wiring`] and posts the
+//!   flit's arrival and the freed slot's credit into its outbox for the
+//!   shard that owns each landing site ([`Mail`]). Ejections and trace
+//!   lookups that would touch another shard's slab are deferred into
+//!   per-shard output queues.
+//! * **Cycle edge** (serial, "decide"): the simulator walks shards in index
+//!   order, processing deferred ejections and drawing the fault and loss
+//!   RNGs per grant: bit flips, erasures and how many copies of each credit
+//!   to return. Because shards own contiguous ascending router ranges and
+//!   phase A emits grants in local router-ascending order, the
+//!   shard-concatenated grant sequence is globally router-ascending:
+//!   exactly the order the single-shard kernel produces, so the sequential
+//!   draws are shard-count-independent. It then moves every outbox into
+//!   its target shard's inbox (the `Vec`s move, no entry is copied); the
+//!   step epilogue sends each drained mail back to its sender.
+//! * **Phase B2** (parallel, "apply"): each shard first applies its inbox in
+//!   source-shard order — arrivals into its own ring two cycles out, which
+//!   is the global grant order restricted to this shard, and credit
+//!   returns, which are commutative increments — then injects at most one
+//!   flit per local NI into its *own* ring (a node's router is always in
+//!   its own shard), tallying injection statistics into order-independent
+//!   integer counters merged serially afterwards.
 //!
 //! The only per-site randomness inside phase A is the port-stall fault
 //! draw; it uses a stateless oracle keyed on `(plan seed, cycle, router,
@@ -119,11 +127,44 @@ pub(crate) enum CreditSink {
     Ni { shard: u32, node: u32 },
 }
 
+impl CreditSink {
+    /// The shard owning the credited router or NI.
+    pub fn shard(self) -> usize {
+        match self {
+            CreditSink::Router { shard, .. } | CreditSink::Ni { shard, .. } => shard as usize,
+        }
+    }
+}
+
+/// A freed input-VC slot owed to its upstream hop.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Credit {
+    pub sink: CreditSink,
+    pub vc: u8,
+    /// How many credits to return: 1, or 0 / 2 when the serial edge's
+    /// fault draw dropped / duplicated it.
+    pub copies: u8,
+}
+
+/// The link traffic one shard's phase A sends one target shard, each list
+/// in the sender's grant order.
+#[derive(Debug, Default)]
+pub(crate) struct Mail {
+    pub arrivals: Vec<Arrival>,
+    pub credits: Vec<Credit>,
+}
+
+impl Mail {
+    fn is_empty(&self) -> bool {
+        self.arrivals.is_empty() && self.credits.is_empty()
+    }
+}
+
 /// The network's links resolved against a shard partition, indexed by the
 /// global link numbers a [`Traversal`] carries (`router * ports + port`):
-/// the serial cycle edge turns a grant into its arrival and its credit
-/// return with one indexed load each.
-#[derive(Debug)]
+/// phase A turns a grant into its arrival and its credit return with one
+/// indexed load each. Immutable once built and shared by every shard.
+#[derive(Debug, Default)]
 pub(crate) struct Wiring {
     /// Per output link: the owning shard of the landing site and the
     /// arrival template (flit and VC filled in per traversal).
@@ -242,8 +283,16 @@ pub(crate) struct Shard {
     pub free_slots: Vec<u32>,
     /// Packets waiting in this shard's NI queues (fast idle check for B2).
     pub queued: usize,
-    /// Phase A output: granted traversals in local router-ascending order.
+    /// Phase A output: granted traversals in local router-ascending order,
+    /// read by the serial edge's fault and loss draws.
     pub outgoing: Vec<Traversal>,
+    /// Phase A output: the arrivals and credits for each shard, by target
+    /// shard index.
+    pub outbox: Vec<Mail>,
+    /// Phase B2 input: what each shard's phase A sent this one, by source
+    /// shard index. Between cycles every mail is back in its sender's
+    /// outbox, and these are empty placeholders.
+    pub inbox: Vec<Mail>,
     /// Phase A output: ejection arrivals deferred to the serial cycle edge,
     /// in ring order (which is traversal push order, i.e. router-ascending).
     pub ejects: Vec<(usize, Flit)>,
@@ -277,6 +326,8 @@ impl Default for Shard {
             free_slots: Vec::new(),
             queued: 0,
             outgoing: Vec::new(),
+            outbox: Vec::new(),
+            inbox: Vec::new(),
             ejects: Vec::new(),
             arrival_traces: Vec::new(),
             injected_traces: Vec::new(),
@@ -307,30 +358,49 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A partition of the network: the shards, the owning shard of every
+/// router, and every link resolved against them.
+pub(crate) struct Partition {
+    pub shards: Vec<Shard>,
+    pub router_shard: Vec<u32>,
+    pub wiring: Wiring,
+}
+
 /// Splits `num_routers` into `shards` contiguous ascending ranges and
-/// builds each shard's routers, NIs and ring. Shard `i` owns routers
-/// `[i*R/n, (i+1)*R/n)`.
-pub(crate) fn build_shards(config: &NocConfig, shards: usize) -> Vec<Shard> {
+/// builds each shard's routers, NIs and ring, and the wiring between them.
+/// Shard `i` owns routers `[i*R/n, (i+1)*R/n)`.
+pub(crate) fn partition(config: &NocConfig, shards: usize) -> Partition {
     let mesh = Mesh::new(config);
     let num_routers = mesh.num_routers();
     let n = shards.clamp(1, num_routers.min(MAX_SHARDS));
-    (0..n)
+    let shards: Vec<Shard> = (0..n)
         .map(|i| {
             let lo = i * num_routers / n;
             let hi = (i + 1) * num_routers / n;
-            Shard::build(config, &mesh, i, lo, hi)
+            Shard::build(config, &mesh, i, n, lo, hi)
         })
-        .collect()
+        .collect();
+    let mut router_shard = vec![0u32; num_routers];
+    for s in &shards {
+        router_shard[s.router_lo..s.router_lo + s.routers.len()].fill(s.index as u32);
+    }
+    let wiring = Wiring::new(&mesh, &shards, &router_shard);
+    Partition {
+        shards,
+        router_shard,
+        wiring,
+    }
 }
 
 impl Shard {
-    /// Builds the shard owning routers `[router_lo, router_hi)`. Routers
-    /// learn only which output ports eject; where each link lands is
-    /// resolved at the cycle edge through [`Wiring`].
+    /// Builds shard `index` of `shards`, owning routers `[router_lo,
+    /// router_hi)`. Routers learn only which output ports eject; where each
+    /// link lands is resolved in phase A through [`Wiring`].
     fn build(
         config: &NocConfig,
         mesh: &Mesh,
         index: usize,
+        shards: usize,
         router_lo: usize,
         router_hi: usize,
     ) -> Shard {
@@ -367,6 +437,8 @@ impl Shard {
             free_slots: Vec::new(),
             queued: 0,
             outgoing: Vec::new(),
+            outbox: (0..shards).map(|_| Mail::default()).collect(),
+            inbox: (0..shards).map(|_| Mail::default()).collect(),
             ejects: Vec::new(),
             arrival_traces: Vec::new(),
             injected_traces: Vec::new(),
@@ -388,24 +460,26 @@ impl Shard {
             Phase::A => {
                 !self.events[Self::ring_index(now)].is_empty() || self.active.iter().any(|&a| a)
             }
-            Phase::B2 => self.queued > 0,
+            Phase::B2 => self.queued > 0 || self.inbox.iter().any(|m| !m.is_empty()),
         }
     }
 
-    /// Runs one phase.
-    pub fn run(&mut self, ctx: &StepCtx, phase: Phase) {
+    /// Runs one phase; phase A resolves its grants through `wiring`.
+    pub fn run(&mut self, ctx: &StepCtx, phase: Phase, wiring: &Wiring) {
         match phase {
-            Phase::A => self.phase_a(ctx),
+            Phase::A => self.phase_a(ctx, wiring),
             Phase::B2 => self.phase_b2(ctx),
         }
     }
 
     /// Phase A: drain this cycle's ring slot into local input buffers
-    /// (deferring ejections and cross-slab trace lookups), then run VC +
-    /// switch allocation over the shard's active routers. Reads only
-    /// last-cycle-edge state; writes only shard-local state.
+    /// (deferring ejections and cross-slab trace lookups), run VC + switch
+    /// allocation over the shard's active routers, and post each grant's
+    /// arrival and credit to the outbox of the shard owning its landing
+    /// site. Reads only last-cycle-edge state; writes only shard-local
+    /// state.
     // anoc-lint: phase(A)
-    fn phase_a(&mut self, ctx: &StepCtx) {
+    fn phase_a(&mut self, ctx: &StepCtx, wiring: &Wiring) {
         let ring = Self::ring_index(ctx.now);
         // The due slot is swapped out and restored so its capacity is
         // reused; safe because schedules only ever target future slots.
@@ -446,11 +520,29 @@ impl Shard {
                 self.active[lr] = false;
             }
         }
+        self.progressed |= !self.outgoing.is_empty();
+        for t in &self.outgoing {
+            let (target, mut arrival) = wiring.hops[t.link as usize];
+            arrival.flit = t.flit;
+            arrival.vc = t.out_vc;
+            self.outbox[target as usize].arrivals.push(arrival);
+            // An unwired mesh-edge port never carries a flit, so it owes
+            // nobody a credit.
+            if let Some(sink) = wiring.credits[t.from as usize] {
+                self.outbox[sink.shard()].credits.push(Credit {
+                    sink,
+                    vc: t.in_vc,
+                    copies: 1,
+                });
+            }
+        }
     }
 
-    /// Phase B2: at most one flit injection per local NI, into this shard's
-    /// own ring (a node's router lives in the node's shard by construction).
+    /// Phase B2: apply this cycle's inbox, then at most one flit injection
+    /// per local NI, into this shard's own ring (a node's router lives in
+    /// the node's shard by construction).
     fn phase_b2(&mut self, ctx: &StepCtx) {
+        self.apply_inbox(ctx.now);
         if self.queued == 0 {
             return;
         }
@@ -551,6 +643,30 @@ impl Shard {
             }
         }
         true
+    }
+
+    /// Applies what every shard's phase A sent this one, in source-shard
+    /// order: arrivals land two cycles after their grant, and credits go
+    /// back to local routers and NIs before any NI injects. Source-shard
+    /// order is the global router-ascending grant order restricted to this
+    /// shard, so the ring holds exactly what the single-shard kernel would.
+    fn apply_inbox(&mut self, now: u64) {
+        let ring = Self::ring_index(now + 2);
+        for src in 0..self.inbox.len() {
+            let mail = &mut self.inbox[src];
+            self.events[ring].append(&mut mail.arrivals);
+            for c in mail.credits.drain(..) {
+                let vc = c.vc as usize;
+                for _ in 0..c.copies {
+                    match c.sink {
+                        CreditSink::Router { router, port, .. } => {
+                            self.routers[router as usize].return_credit(port as usize, vc);
+                        }
+                        CreditSink::Ni { node, .. } => self.nis[node as usize].vc_credits[vc] += 1,
+                    }
+                }
+            }
+        }
     }
 
     /// Schedules an arrival into this shard's own ring.

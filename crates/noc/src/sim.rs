@@ -22,11 +22,15 @@
 //! The routers, NIs, event ring and packet slab are spatially partitioned
 //! into [`Shard`]s ([`NocSim::set_shards`]); phase A (allocation) and phase
 //! B2 (injection) of each cycle run shard-parallel on a persistent
-//! [`WorkerSet`], with a serial cycle edge in between exchanging boundary
-//! flits and credits. The phase ordering and the serial edge make results
-//! bit-identical for any shard count — see `shard.rs` and DESIGN.md §10.
+//! [`WorkerSet`]. In between, a serial cycle edge makes every
+//! order-sensitive decision (ejections, traces, fault and loss draws) and
+//! hands each shard the flits and credits addressed to it, which the shard
+//! applies itself at the start of phase B2. The phase ordering and the
+//! serial edge make results bit-identical for any shard count — see
+//! `shard.rs` and DESIGN.md §10.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::Notification;
@@ -44,8 +48,8 @@ use crate::ni::NodeCodec;
 use crate::packet::{Delivered, Flit, PacketId, PacketKind, PacketState, TraceEvent};
 use crate::router::{LinkDest, RouterActivity};
 use crate::shard::{
-    build_shards, encode_slot, local_of_slot, shard_of_slot, Arrival, CreditSink, Phase, Shard,
-    StepCtx, Wiring, EVENT_HORIZON, MAX_SHARDS, SLOT_MASK,
+    encode_slot, local_of_slot, partition, shard_of_slot, Arrival, Phase, Shard, StepCtx, Wiring,
+    EVENT_HORIZON, MAX_SHARDS, SLOT_MASK,
 };
 use crate::snapshot::{
     load_flit, load_link_dest, load_opt_usize_below, load_packet, load_stats, save_flit,
@@ -67,11 +71,15 @@ pub struct NocSim {
     /// Owning shard index of every router (and, through a router's attached
     /// nodes, of every node).
     router_shard: Vec<u32>,
-    /// Every link resolved against the current partition.
-    wiring: Wiring,
+    /// Every link resolved against the current partition, shared with the
+    /// shard workers.
+    wiring: Arc<Wiring>,
     /// Persistent pinned workers for shards `1..n` (shard 0 runs on the
     /// stepping thread); present only with more than one shard.
-    workers: Option<WorkerSet<Shard>>,
+    workers: Option<WorkerSet<Shard, (StepCtx, Phase)>>,
+    /// Serial-edge scratch: per target shard, the next credit of the
+    /// current source shard's outbox to receive its fault draw.
+    credit_cursor: Vec<usize>,
     codecs: Vec<NodeCodec>,
     live_packets: usize,
     next_pid: PacketId,
@@ -124,17 +132,6 @@ impl std::fmt::Debug for NocSim {
     }
 }
 
-/// Inverse of the shard partition: the owning shard index of every router.
-fn router_shard_map(shards: &[Shard], num_routers: usize) -> Vec<u32> {
-    let mut map = vec![0u32; num_routers];
-    for s in shards {
-        for owner in &mut map[s.router_lo..s.router_lo + s.routers.len()] {
-            *owner = s.index as u32;
-        }
-    }
-    map
-}
-
 impl NocSim {
     /// Builds a network. `codecs` must supply one encoder/decoder pair per
     /// node.
@@ -155,17 +152,16 @@ impl NocSim {
             mesh.num_nodes(),
             "one codec pair per node required"
         );
-        let shards = build_shards(&config, 1);
-        let router_shard = router_shard_map(&shards, mesh.num_routers());
-        let wiring = Wiring::new(&mesh, &shards, &router_shard);
+        let serial = partition(&config, 1);
         let num_nodes = mesh.num_nodes();
         NocSim {
             config,
             mesh,
-            shards,
-            router_shard,
-            wiring,
+            shards: serial.shards,
+            router_shard: serial.router_shard,
+            wiring: Arc::new(serial.wiring),
             workers: None,
+            credit_cursor: vec![0],
             codecs,
             live_packets: 0,
             next_pid: 0,
@@ -193,7 +189,8 @@ impl NocSim {
     /// Repartitions the network into `shards` spatial shards, each stepped
     /// by its own worker thread (shard 0 runs on the calling thread). The
     /// count is clamped to the router count; `1` restores fully serial
-    /// stepping. Results are bit-identical for any shard count.
+    /// stepping, and `0` (a count left unset) means `1`. Results are
+    /// bit-identical for any shard count.
     ///
     /// # Panics
     ///
@@ -209,10 +206,26 @@ impl NocSim {
         if n == self.shards.len() {
             return;
         }
-        self.shards = build_shards(&self.config, n);
-        self.router_shard = router_shard_map(&self.shards, self.mesh.num_routers());
-        self.wiring = Wiring::new(&self.mesh, &self.shards, &self.router_shard);
-        self.workers = (n > 1).then(|| WorkerSet::new(n - 1, "anoc-shard"));
+        // Free the old partition before building the new one, so the two
+        // are never alive at once (peak memory).
+        self.workers = None;
+        self.shards = Vec::new();
+        self.wiring = Arc::default();
+        let fresh = partition(&self.config, n);
+        self.shards = fresh.shards;
+        self.router_shard = fresh.router_shard;
+        self.wiring = Arc::new(fresh.wiring);
+        self.credit_cursor = vec![0; n];
+        self.workers = (n > 1).then(|| {
+            let wiring = Arc::clone(&self.wiring);
+            WorkerSet::new(
+                n - 1,
+                "anoc-shard",
+                move |shard: &mut Shard, (ctx, phase)| {
+                    shard.run(&ctx, phase, &wiring);
+                },
+            )
+        });
     }
 
     /// Number of spatial shards the kernel is partitioned into.
@@ -529,11 +542,13 @@ impl NocSim {
 
     /// Advances the simulation by one cycle.
     ///
-    /// Phase A (shard-parallel) drains each shard's ring slot and runs
-    /// allocation; the serial cycle edge applies ejections, link traversals
-    /// and credits in shard-concatenation order (globally router-ascending,
-    /// identical to the single-shard kernel); phase B2 (shard-parallel)
-    /// injects from each shard's NIs; the epilogue merges order-independent
+    /// Phase A (shard-parallel) drains each shard's ring slot, runs
+    /// allocation and posts each grant's arrival and credit to the owning
+    /// shard's outbox; the serial cycle edge applies ejections and draws the
+    /// fault and loss RNGs in shard-concatenation order (globally
+    /// router-ascending, identical to the single-shard kernel), then
+    /// delivers the outboxes; phase B2 (shard-parallel) applies each shard's
+    /// inbox and injects from its NIs; the epilogue merges order-independent
     /// tallies and runs the watchdog.
     pub fn step(&mut self) {
         let now = self.cycle;
@@ -545,9 +560,16 @@ impl NocSim {
         self.run_phase(&ctx, Phase::A);
         let mut progressed = self.cycle_edge(now);
         self.run_phase(&ctx, Phase::B2);
+        // Return every drained inbox to its sender for the next phase A.
+        let n = self.shards.len();
+        for j in 0..n {
+            for i in 0..n {
+                self.shards[i].outbox[j] = std::mem::take(&mut self.shards[j].inbox[i]);
+            }
+        }
         // Merge phase B2 outputs (all integer sums or per-packet events, so
         // shard order cannot matter; iterated ascending regardless).
-        for i in 0..self.shards.len() {
+        for i in 0..n {
             progressed |= self.shards[i].progressed;
             self.shards[i].progressed = false;
             let t = std::mem::take(&mut self.shards[i].inject_tally);
@@ -556,10 +578,11 @@ impl NocSim {
             self.stats.control_flits_injected += t.control_flits;
             self.stats.baseline_data_flits += t.baseline_flits;
             if self.tracing {
-                let injected = std::mem::take(&mut self.shards[i].injected_traces);
-                for pid in injected {
+                let mut injected = std::mem::take(&mut self.shards[i].injected_traces);
+                for pid in injected.drain(..) {
                     self.record_trace(pid, now, TraceEvent::Injected);
                 }
+                self.shards[i].injected_traces = injected;
             }
         }
         self.cycle = now + 1;
@@ -594,7 +617,7 @@ impl NocSim {
         let Some(workers) = &self.workers else {
             for shard in &mut self.shards {
                 if shard.has_work(ctx.now, phase) {
-                    shard.run(ctx, phase);
+                    shard.run(ctx, phase, &self.wiring);
                 }
             }
             return;
@@ -605,13 +628,12 @@ impl NocSim {
                 continue;
             }
             let shard = std::mem::take(&mut self.shards[i]);
-            let ctx = *ctx;
-            let sent = workers.submit(i - 1, i, shard, move |s| s.run(&ctx, phase));
+            let sent = workers.submit(i - 1, i, shard, (*ctx, phase));
             assert!(sent, "shard worker {i} terminated");
             outstanding += 1;
         }
         if self.shards[0].has_work(ctx.now, phase) {
-            self.shards[0].run(ctx, phase);
+            self.shards[0].run(ctx, phase, &self.wiring);
         }
         for _ in 0..outstanding {
             let received = workers.recv();
@@ -623,9 +645,11 @@ impl NocSim {
         }
     }
 
-    /// The serial cycle edge between phases A and B2: applies every shard's
-    /// deferred phase-A outputs in shard index order. Returns whether
-    /// anything progressed.
+    /// The serial cycle edge between phases A and B2: everything
+    /// order-sensitive, in shard index order — phase-A bookkeeping,
+    /// ejections, and the fault and loss draws per grant — then the mail
+    /// exchange that hands every shard the arrivals and credits its phase
+    /// B2 applies. Returns whether anything progressed.
     fn cycle_edge(&mut self, now: u64) -> bool {
         let mut progressed = false;
         let n = self.shards.len();
@@ -638,7 +662,7 @@ impl NocSim {
             progressed |= self.shards[i].progressed;
             self.shards[i].progressed = false;
             if self.tracing {
-                let traces = std::mem::take(&mut self.shards[i].arrival_traces);
+                let mut traces = std::mem::take(&mut self.shards[i].arrival_traces);
                 for &(slot, router) in &traces {
                     let owner = shard_of_slot(slot);
                     if let Some(p) = self.shards[owner].packets[local_of_slot(slot)].as_ref() {
@@ -646,6 +670,8 @@ impl NocSim {
                         self.record_trace(id, now, TraceEvent::RouterArrival { router });
                     }
                 }
+                traces.clear();
+                self.shards[i].arrival_traces = traces;
             }
         }
         // Ejections. Eject arrivals land in the granting (local) router's
@@ -659,60 +685,60 @@ impl NocSim {
             ejects.clear();
             self.shards[i].ejects = ejects;
         }
-        // Link traversals, two global passes exactly like the single-shard
-        // kernel: pass 1 draws link-fault flips and schedules every flit
-        // into its target shard's ring, pass 2 returns credits (drawing
-        // drop/duplicate faults) — so allocation never observes same-cycle
-        // credits, and the sequential fault-RNG draw order is the global
-        // router-ascending traversal order on any shard count.
-        for i in 0..n {
-            let outgoing = std::mem::take(&mut self.shards[i].outgoing);
-            for t in &outgoing {
-                progressed = true;
-                if self.faults.link_bit_flip_ppm > 0
-                    && self.fault_rng.below(PPM) < self.faults.link_bit_flip_ppm
-                {
-                    self.flip_payload_bit(t.flit.slot);
-                }
-                // Lossy links: one draw from the dedicated loss stream per
-                // traversal whenever a plan is active, so the draw order is
-                // the same global router-ascending traversal order as the
-                // fault stream — and independent of it.
-                if self.loss.is_active() {
-                    let rate = self.loss.effective_ppm(self.approx_level_of(t.flit.slot));
-                    if self.loss_rng.below(PPM) < rate {
-                        self.erase_payload_word(t.flit.slot);
+        // Fault and loss draws, two global passes over the grants exactly
+        // like the single-shard kernel: pass 1 draws link bit flips and
+        // erasures, pass 2 credit drops and duplicates — so the sequential
+        // draw order is the global router-ascending grant order on any
+        // shard count. Without an active plan neither pass draws anything.
+        if self.faults.link_bit_flip_ppm > 0 || self.loss.is_active() {
+            for i in 0..n {
+                let outgoing = std::mem::take(&mut self.shards[i].outgoing);
+                for t in &outgoing {
+                    if self.faults.link_bit_flip_ppm > 0
+                        && self.fault_rng.below(PPM) < self.faults.link_bit_flip_ppm
+                    {
+                        self.flip_payload_bit(t.flit.slot);
                     }
-                }
-                let (s, mut arrival) = self.wiring.hops[t.link as usize];
-                arrival.flit = t.flit;
-                arrival.vc = t.out_vc;
-                self.shards[s as usize].schedule(now + 2, arrival, now);
-            }
-            self.shards[i].outgoing = outgoing;
-        }
-        for i in 0..n {
-            let mut outgoing = std::mem::take(&mut self.shards[i].outgoing);
-            for t in outgoing.drain(..) {
-                let Some(sink) = self.wiring.credits[t.from as usize] else {
-                    continue;
-                };
-                let vc = t.in_vc as usize;
-                for _ in 0..self.credit_copies() {
-                    match sink {
-                        CreditSink::Router {
-                            shard,
-                            router,
-                            port,
-                        } => self.shards[shard as usize].routers[router as usize]
-                            .return_credit(port as usize, vc),
-                        CreditSink::Ni { shard, node } => {
-                            self.shards[shard as usize].nis[node as usize].vc_credits[vc] += 1;
+                    // Lossy links: one draw from the dedicated loss stream
+                    // per traversal whenever a plan is active, in the same
+                    // global order as the fault stream — and independent
+                    // of it.
+                    if self.loss.is_active() {
+                        let rate = self.loss.effective_ppm(self.approx_level_of(t.flit.slot));
+                        if self.loss_rng.below(PPM) < rate {
+                            self.erase_payload_word(t.flit.slot);
                         }
                     }
                 }
+                self.shards[i].outgoing = outgoing;
             }
-            self.shards[i].outgoing = outgoing;
+        }
+        if self.faults.credit_drop_ppm > 0 || self.faults.credit_dup_ppm > 0 {
+            // Phase A posted each shard's credits to each target in grant
+            // order, so one cursor per target finds a grant's credit.
+            for i in 0..n {
+                let outgoing = std::mem::take(&mut self.shards[i].outgoing);
+                self.credit_cursor.fill(0);
+                for t in &outgoing {
+                    let Some(sink) = self.wiring.credits[t.from as usize] else {
+                        continue;
+                    };
+                    let copies = self.credit_copies();
+                    let target = sink.shard();
+                    let k = self.credit_cursor[target];
+                    self.shards[i].outbox[target].credits[k].copies = copies;
+                    self.credit_cursor[target] = k + 1;
+                }
+                self.shards[i].outgoing = outgoing;
+            }
+        }
+        // Mail delivery: shard i's outbox for shard j becomes j's inbox
+        // from i (the step epilogue sends it back drained).
+        for i in 0..n {
+            self.shards[i].outgoing.clear();
+            for j in 0..n {
+                self.shards[j].inbox[i] = std::mem::take(&mut self.shards[i].outbox[j]);
+            }
         }
         progressed
     }
@@ -770,7 +796,7 @@ impl NocSim {
 
     /// How many times to return one freed credit under the active plan:
     /// 1 normally, 0 when dropped, 2 when duplicated.
-    fn credit_copies(&mut self) -> u32 {
+    fn credit_copies(&mut self) -> u8 {
         if self.faults.credit_drop_ppm > 0
             && self.fault_rng.below(PPM) < self.faults.credit_drop_ppm
         {

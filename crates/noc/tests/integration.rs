@@ -8,7 +8,8 @@ use anoc_core::avcl::Avcl;
 use anoc_core::data::{CacheBlock, NodeId};
 use anoc_core::rng::Pcg32;
 use anoc_core::threshold::ErrorThreshold;
-use anoc_noc::{NocConfig, NocSim, NodeCodec, PacketKind};
+use anoc_exec::hash::fnv1a64;
+use anoc_noc::{FaultPlan, LossPlan, NocConfig, NocSim, NodeCodec, PacketKind};
 
 fn di_codecs(nodes: usize, in_band: bool) -> Vec<NodeCodec> {
     let _ = in_band;
@@ -367,6 +368,100 @@ fn sharded_kernel_is_bit_identical_across_shard_counts() {
             kernel_fingerprint_sharded(NocConfig::cmesh_16x16(), shards, 200, 400),
             serial_16,
             "16x16 cmesh fingerprint diverged at {shards} shards"
+        );
+    }
+}
+
+/// Every order-sensitive path of the serial cycle edge at once, on the
+/// 16x16 cmesh: link bit flips, port stalls, dropped and duplicated credits
+/// (the fault RNG), an active lossy-link plan (the loss RNG), per-packet
+/// tracing, and in-band dictionary notifications, whose control packets
+/// are enqueued at ejection and may inject in the same cycle. Duplicated
+/// credits overfill VCs and dropped ones can starve them, so the run is a
+/// fixed number of cycles rather than a drain. Renders the statistics, the
+/// activity counters, and digests of the delivery log and every trace.
+fn edge_stress_fingerprint(shards: usize) -> String {
+    let mut config = NocConfig::cmesh_16x16();
+    config.notify_in_band = true;
+    let nodes = config.num_nodes();
+    let mut sim = NocSim::new(config, di_codecs(nodes, true));
+    sim.set_shards(shards);
+    sim.set_fault_plan(FaultPlan {
+        seed: 0x0ED6_E5EE,
+        link_bit_flip_ppm: 20_000,
+        port_stall_ppm: 10_000,
+        stall_cycles: 3,
+        credit_drop_ppm: 1_000,
+        credit_dup_ppm: 50_000,
+        dict_corrupt_ppm: 0,
+    });
+    sim.set_loss_plan(LossPlan::scaled(0x1055, 5_000, 1_000));
+    sim.set_bound_check(ErrorThreshold::from_percent(10).expect("valid"));
+    sim.enable_tracing();
+    let mut rng = Pcg32::seed_from_u64(0x0ED6E);
+    let mut log = String::new();
+    for cycle in 0..700 {
+        if cycle < 250 {
+            for node in 0..nodes {
+                if rng.below(100) >= 3 {
+                    continue;
+                }
+                let mut d = rng.below(nodes as u32) as usize;
+                if d == node {
+                    d = (d + 1) % nodes;
+                }
+                // A few recurring values, so the dictionaries learn them and
+                // send install notifications back in band.
+                let w = rng.below(4) as i32 * 1_000 + 7;
+                sim.enqueue_data(
+                    NodeId(node as u16),
+                    NodeId(d as u16),
+                    CacheBlock::from_i32(&[w; 16]),
+                );
+            }
+        }
+        sim.step();
+        for d in sim.drain_delivered() {
+            log.push_str(&format!("{d:?}\n"));
+        }
+    }
+    sim.record_unfinished();
+    let s = sim.stats();
+    assert!(
+        s.control_packets > 0,
+        "no in-band notification was delivered"
+    );
+    assert!(s.faults.bit_flips > 0 && s.faults.port_stalls > 0);
+    assert!(s.faults.credits_dropped > 0 && s.faults.credits_duplicated > 0);
+    assert!(s.faults.words_lost > 0);
+    // Tracing was on from cycle 0, so packet ids 0.. are all traced.
+    let mut traces = String::new();
+    for (id, t) in (0..).map_while(|id| sim.trace(id).map(|t| (id, t))) {
+        traces.push_str(&format!("{id}:{t:?}\n"));
+    }
+    assert!(!traces.is_empty(), "tracing recorded nothing");
+    format!(
+        "{s:?}\n{:?}\nout={} delivered={:016x} traces={:016x}",
+        sim.activity_report(),
+        sim.outstanding_packets(),
+        fnv1a64(log.as_bytes()),
+        fnv1a64(traces.as_bytes()),
+    )
+}
+
+/// Shard-count independence of the split cycle edge (DESIGN.md §10): the
+/// fault and loss draws, ejections and traces stay serial and in global
+/// order, and each shard applies the arrivals and credits addressed to it
+/// in source-shard order, so every faulted, lossy, traced, in-band run is
+/// bit-identical to the serial one.
+#[test]
+fn faulted_lossy_traced_edge_is_bit_identical_across_shard_counts() {
+    let serial = edge_stress_fingerprint(1);
+    for shards in [2, 4] {
+        assert_eq!(
+            edge_stress_fingerprint(shards),
+            serial,
+            "16x16 faulted edge diverged at {shards} shards"
         );
     }
 }
