@@ -13,6 +13,8 @@
 
 use anoc_core::codec::{BlockEncoder, CodecActivity, EncodedBlock, Notification, WordCode};
 use anoc_core::data::{CacheBlock, NodeId};
+use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
+use anoc_core::threshold::ErrorThreshold;
 
 /// Controller parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,6 +50,7 @@ enum Mode {
 }
 
 /// A [`BlockEncoder`] wrapper implementing the adaptive on/off controller.
+#[derive(Debug)]
 pub struct AdaptiveEncoder<E> {
     inner: E,
     config: AdaptiveConfig,
@@ -178,15 +181,32 @@ impl<E: BlockEncoder> BlockEncoder for AdaptiveEncoder<E> {
     fn activity(&self) -> CodecActivity {
         self.inner.activity()
     }
-}
 
-impl<E: std::fmt::Debug> std::fmt::Debug for AdaptiveEncoder<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveEncoder")
-            .field("inner", &self.inner)
-            .field("mode", &self.mode)
-            .field("transitions", &self.transitions)
-            .finish()
+    fn set_error_threshold(&mut self, threshold: ErrorThreshold) {
+        self.inner.set_error_threshold(threshold);
+    }
+
+    /// The controller state, then the wrapped encoder's.
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.bool(self.mode == Mode::On);
+        w.u64(self.window_in_bits);
+        w.u64(self.window_out_bits);
+        w.u32(self.window_count);
+        w.u32(self.off_count);
+        w.u32(self.good_probes);
+        w.u64(self.transitions);
+        self.inner.save_state(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.mode = if r.bool()? { Mode::On } else { Mode::Off };
+        self.window_in_bits = r.u64()?;
+        self.window_out_bits = r.u64()?;
+        self.window_count = r.u32()?;
+        self.off_count = r.u32()?;
+        self.good_probes = r.u32()?;
+        self.transitions = r.u64()?;
+        self.inner.load_state(r)
     }
 }
 
@@ -285,6 +305,38 @@ mod tests {
         assert!(enc.transitions() >= 2, "phases should toggle the mode");
         assert_eq!(enc.name(), "FP-COMP");
         assert!(format!("{enc:?}").contains("AdaptiveEncoder"));
+    }
+
+    #[test]
+    fn controller_state_round_trips_and_truncation_is_an_error() {
+        let mut enc = AdaptiveEncoder::with_config(FpEncoder::fp_comp(), cfg());
+        let mut rng = Pcg32::seed_from_u64(4);
+        for _ in 0..11 {
+            enc.encode(&incompressible_block(&mut rng), NodeId(1));
+        }
+        assert!(!enc.is_on());
+        let mut w = SnapWriter::new();
+        enc.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = AdaptiveEncoder::with_config(FpEncoder::fp_comp(), cfg());
+        back.load_state(&mut SnapReader::new(&bytes)).expect("load");
+        assert_eq!(format!("{back:?}"), format!("{enc:?}"));
+        assert_eq!(back.activity(), enc.activity());
+        // The restored controller continues exactly where the saved one was.
+        for _ in 0..8 {
+            let block = compressible_block();
+            assert_eq!(
+                enc.encode(&block, NodeId(1)),
+                back.encode(&block, NodeId(1))
+            );
+        }
+        assert_eq!(back.transitions(), enc.transitions());
+        for cut in 0..bytes.len() {
+            let mut fresh = AdaptiveEncoder::with_config(FpEncoder::fp_comp(), cfg());
+            assert!(fresh
+                .load_state(&mut SnapReader::new(&bytes[..cut]))
+                .is_err());
+        }
     }
 
     #[test]

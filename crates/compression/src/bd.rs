@@ -22,6 +22,8 @@ use anoc_core::codec::{
     BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, WordCode,
 };
 use anoc_core::data::{CacheBlock, DataType, NodeId};
+use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
+use anoc_core::threshold::ErrorThreshold;
 
 /// Delta widths tried, in increasing cost (Zhan et al. use byte-granular
 /// deltas; 4-bit deltas capture near-repeats).
@@ -182,6 +184,22 @@ impl BlockEncoder for BdEncoder {
     fn activity(&self) -> CodecActivity {
         self.activity
     }
+
+    /// Retargets BD-VAXX's AVCL; BD-COMP has none and ignores the call.
+    fn set_error_threshold(&mut self, threshold: ErrorThreshold) {
+        if self.avcl.is_some() {
+            self.avcl = Some(Avcl::new(threshold));
+        }
+    }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.activity.save_state(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.activity = CodecActivity::load_state(r)?;
+        Ok(())
+    }
 }
 
 impl BdEncoder {
@@ -265,6 +283,15 @@ impl BlockDecoder for BdDecoder {
 
     fn activity(&self) -> CodecActivity {
         self.activity
+    }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.activity.save_state(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.activity = CodecActivity::load_state(r)?;
+        Ok(())
     }
 }
 
@@ -433,6 +460,52 @@ mod tests {
         assert_eq!(BdDecoder::new().name(), "BD-decoder");
         assert_eq!(BdEncoder::bd_comp().compression_latency(), 3);
         assert_eq!(BdDecoder::new().decompression_latency(), 2);
+    }
+
+    #[test]
+    fn bd_vaxx_retargets_and_bd_comp_ignores_it() {
+        // +150 off the base misses the 8-bit delta range: only a nonzero
+        // threshold can pull it in.
+        let mut words = vec![100_000i32; 16];
+        words[7] = 100_150;
+        let block = CacheBlock::from_i32(&words);
+        let mut enc = BdEncoder::bd_vaxx(Avcl::new(ErrorThreshold::exact()));
+        assert_eq!(enc.encode(&block, NodeId(1)).stats().approx_encoded, 0);
+        enc.set_error_threshold(ErrorThreshold::from_percent(10).unwrap());
+        assert!(enc.encode(&block, NodeId(1)).stats().approx_encoded >= 1);
+        let mut exact = BdEncoder::bd_comp();
+        exact.set_error_threshold(ErrorThreshold::from_percent(10).unwrap());
+        assert!(!exact.is_vaxx());
+    }
+
+    #[test]
+    fn activity_state_round_trips_and_truncation_is_an_error() {
+        let mut enc = BdEncoder::bd_vaxx(avcl(10));
+        let mut dec = BdDecoder::new();
+        let block = CacheBlock::from_i32(&[7, 9, 1_000, 3]);
+        dec.decode(&enc.encode(&block, NodeId(1)), NodeId(0));
+        let mut w = SnapWriter::new();
+        enc.save_state(&mut w);
+        dec.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let (mut enc2, mut dec2) = (BdEncoder::bd_vaxx(avcl(10)), BdDecoder::new());
+        enc2.load_state(&mut r).expect("encoder");
+        dec2.load_state(&mut r).expect("decoder");
+        assert!(r.is_exhausted());
+        assert_eq!(enc2.activity(), enc.activity());
+        assert_eq!(dec2.activity(), dec.activity());
+        for cut in 0..bytes.len() / 2 {
+            let mut fresh = BdEncoder::bd_comp();
+            assert_eq!(
+                fresh.load_state(&mut SnapReader::new(&bytes[..cut])),
+                Err(SnapError::Truncated)
+            );
+            assert_eq!(
+                BdDecoder::new().load_state(&mut SnapReader::new(&bytes[..cut])),
+                Err(SnapError::Truncated)
+            );
+        }
     }
 
     #[test]

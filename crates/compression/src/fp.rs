@@ -25,6 +25,10 @@ const MAX_ZERO_RUN: u8 = 8;
 #[derive(Debug, Clone)]
 pub struct FpEncoder {
     avcl: Option<Avcl>,
+    /// Words per error-budget window; `Some` marks a windowed FP-VAXX.
+    window_words: Option<u32>,
+    /// The live budget of a windowed encoder: `None` while it sits at the
+    /// exact threshold, where it approximates nothing.
     window: Option<WindowBudget>,
     activity: CodecActivity,
 }
@@ -34,6 +38,7 @@ impl FpEncoder {
     pub fn fp_comp() -> Self {
         FpEncoder {
             avcl: None,
+            window_words: None,
             window: None,
             activity: CodecActivity::default(),
         }
@@ -43,22 +48,30 @@ impl FpEncoder {
     pub fn fp_vaxx(avcl: Avcl) -> Self {
         FpEncoder {
             avcl: Some(avcl),
+            window_words: None,
             window: None,
             activity: CodecActivity::default(),
         }
     }
 
     /// Creates an FP-VAXX encoder with a window-based cumulative error
-    /// budget (§7 future work): words that compress exactly donate their
-    /// unused tolerance to later words in the same window, yielding more
-    /// approximate matches at the same average error.
-    pub fn fp_vaxx_windowed(budget: WindowBudget) -> Self {
-        let base = Avcl::new(budget.next_threshold());
-        FpEncoder {
-            avcl: Some(base),
-            window: Some(budget),
+    /// budget (§7 future work) of `threshold` per word on average over
+    /// `words`-word windows: words that compress exactly donate their unused
+    /// tolerance to later words in the same window, yielding more
+    /// approximate matches at the same average error. At the exact
+    /// threshold it holds no budget and approximates nothing until
+    /// [`set_error_threshold`] arms one.
+    ///
+    /// [`set_error_threshold`]: BlockEncoder::set_error_threshold
+    pub fn fp_vaxx_windowed(words: u32, threshold: ErrorThreshold) -> Self {
+        let mut enc = FpEncoder {
+            avcl: Some(Avcl::new(threshold)),
+            window_words: Some(words.max(1)),
+            window: None,
             activity: CodecActivity::default(),
-        }
+        };
+        enc.set_error_threshold(threshold);
+        enc
     }
 
     /// Whether this encoder approximates (FP-VAXX) or is exact (FP-COMP).
@@ -68,7 +81,7 @@ impl FpEncoder {
 
     /// Whether this encoder pools error tolerance across a word window.
     pub fn is_windowed(&self) -> bool {
-        self.window.is_some()
+        self.window_words.is_some()
     }
 
     /// Replaces the AVCL at run time — the dynamic-threshold hook of §1
@@ -147,7 +160,7 @@ impl BlockEncoder for FpEncoder {
         let words = block.words();
         self.activity.words_encoded += words.len() as u64;
         self.activity.cam_searches += words.len() as u64;
-        if self.window.is_none() {
+        if self.window_words.is_none() {
             // Wide path: eight contiguous words per iteration. The AVCL masks
             // for the whole group come out of one `approx_pattern8` call and
             // the pattern table is walked once per group by `best_match8`,
@@ -176,16 +189,12 @@ impl BlockEncoder for FpEncoder {
             // depends on the error the previous word banked, so the masks
             // cannot be batched.
             for &word in words {
-                let mask = match self.avcl {
-                    Some(installed) if approx_on => {
+                let mask = match (self.avcl, &self.window) {
+                    (Some(installed), Some(budget)) if approx_on => {
                         self.activity.avcl_ops += 1;
-                        let avcl = match &self.window {
-                            Some(budget) => {
-                                Avcl::with_policy(budget.next_threshold(), installed.policy())
-                            }
-                            None => installed,
-                        };
-                        avcl.approx_pattern(word, block.dtype()).mask()
+                        Avcl::with_policy(budget.next_threshold(), installed.policy())
+                            .approx_pattern(word, block.dtype())
+                            .mask()
                     }
                     _ => 0,
                 };
@@ -214,20 +223,46 @@ impl BlockEncoder for FpEncoder {
         self.activity
     }
 
+    /// A windowed encoder opens a fresh window of base `threshold`, except
+    /// that a retarget to the base it already holds keeps the window cursor:
+    /// a checkpoint resume re-arms the threshold mid-window.
     fn set_error_threshold(&mut self, threshold: ErrorThreshold) {
+        if let Some(words) = self.window_words {
+            let pct = threshold.percent();
+            self.window = match self.window.take() {
+                Some(budget) if budget.base_percent() == pct => Some(budget),
+                _ if threshold.is_exact() => None,
+                _ => Some(WindowBudget::new(words, pct)),
+            };
+        }
         self.set_avcl(Avcl::new(threshold));
     }
 
-    // The pattern table is static, so the only mutable state worth a
-    // snapshot is the activity counters. The window budget is deliberately
-    // excluded: windowed encoders exist only in custom-mechanism runs, which
-    // never take the snapshot path.
+    // The pattern table is static, so the mutable state is the activity
+    // counters plus, for a windowed encoder, its budget and cursor.
     fn save_state(&self, w: &mut SnapWriter) {
         self.activity.save_state(w);
+        if self.window_words.is_some() {
+            w.bool(self.window.is_some());
+            if let Some(budget) = &self.window {
+                budget.save_state(w);
+            }
+        }
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.activity = CodecActivity::load_state(r)?;
+        if self.window_words.is_some() {
+            self.window = if r.bool()? {
+                let budget = WindowBudget::load_state(r)?;
+                if Some(budget.window()) != self.window_words {
+                    return Err(SnapError::Invalid("window length"));
+                }
+                Some(budget)
+            } else {
+                None
+            };
+        }
         Ok(())
     }
 }
@@ -475,13 +510,70 @@ mod tests {
 #[cfg(test)]
 mod window_tests {
     use super::*;
-    use anoc_core::window::WindowBudget;
+
+    /// The live budget, cursor included, as the derived Debug shows it.
+    fn budget(enc: &FpEncoder) -> String {
+        let dbg = format!("{enc:?}");
+        let field = &dbg[dbg.find("window: ").expect("window field")..];
+        field[..field.find(", activity").expect("next field")].to_string()
+    }
 
     #[test]
     fn windowed_encoder_flags() {
-        let w = FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10));
+        let w = FpEncoder::fp_vaxx_windowed(16, ErrorThreshold::from_percent(10).unwrap());
         assert!(w.is_vaxx() && w.is_windowed());
         assert!(!FpEncoder::fp_comp().is_windowed());
+    }
+
+    #[test]
+    fn exact_window_approximates_nothing_until_retargeted() {
+        let block = CacheBlock::from_i32(&[0x0001_0007; 7]);
+        let mut enc = FpEncoder::fp_vaxx_windowed(16, ErrorThreshold::exact());
+        assert!(enc.is_windowed() && budget(&enc).starts_with("window: None"));
+        assert_eq!(enc.encode(&block, NodeId(1)).stats().approx_encoded, 0);
+        let ten = ErrorThreshold::from_percent(10).unwrap();
+        enc.set_error_threshold(ten);
+        let fresh = budget(&enc);
+        assert!(enc.encode(&block, NodeId(1)).stats().approx_encoded > 0);
+        // A retarget to the same base keeps the mid-window cursor; a new
+        // base restarts.
+        let mid = budget(&enc);
+        assert_ne!(mid, fresh);
+        enc.set_error_threshold(ten);
+        assert_eq!(budget(&enc), mid);
+        enc.set_error_threshold(ErrorThreshold::from_percent(5).unwrap());
+        assert_eq!(
+            budget(&enc),
+            budget(&FpEncoder::fp_vaxx_windowed(
+                16,
+                ErrorThreshold::from_percent(5).unwrap()
+            ))
+        );
+        enc.set_error_threshold(ErrorThreshold::exact());
+        assert!(budget(&enc).starts_with("window: None"));
+    }
+
+    #[test]
+    fn window_state_round_trips_and_truncation_is_an_error() {
+        let ten = ErrorThreshold::from_percent(10).unwrap();
+        let mut enc = FpEncoder::fp_vaxx_windowed(16, ten);
+        enc.encode(&CacheBlock::from_i32(&[0x0001_0007; 7]), NodeId(1));
+        let mut w = SnapWriter::new();
+        enc.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = FpEncoder::fp_vaxx_windowed(16, ErrorThreshold::exact());
+        back.load_state(&mut SnapReader::new(&bytes)).expect("load");
+        assert_eq!(budget(&back), budget(&enc));
+        assert_eq!(back.activity(), enc.activity());
+        for cut in 0..bytes.len() {
+            let mut fresh = FpEncoder::fp_vaxx_windowed(16, ErrorThreshold::exact());
+            assert!(fresh
+                .load_state(&mut SnapReader::new(&bytes[..cut]))
+                .is_err());
+        }
+        // A blob from a differently sized window is refused.
+        let mut other = FpEncoder::fp_vaxx_windowed(8, ErrorThreshold::exact());
+        assert!(other.load_state(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -508,7 +600,8 @@ mod window_tests {
             })
             .collect();
         let mut plain = FpEncoder::fp_vaxx(Avcl::new(ErrorThreshold::from_percent(10).unwrap()));
-        let mut windowed = FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10));
+        let mut windowed =
+            FpEncoder::fp_vaxx_windowed(16, ErrorThreshold::from_percent(10).unwrap());
         let mut sp = anoc_core::codec::EncodeStats::default();
         let mut sw = anoc_core::codec::EncodeStats::default();
         for b in &blocks {
@@ -528,7 +621,7 @@ mod window_tests {
     fn windowed_average_error_stays_near_base() {
         use anoc_core::metrics::QualityAccumulator;
         let mut rng = anoc_core::rng::Pcg32::seed_from_u64(5);
-        let mut enc = FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10));
+        let mut enc = FpEncoder::fp_vaxx_windowed(16, ErrorThreshold::from_percent(10).unwrap());
         let mut dec = FpDecoder::new();
         let mut q = QualityAccumulator::new();
         for _ in 0..200 {

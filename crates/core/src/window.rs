@@ -7,6 +7,7 @@
 //! applications where the error rate over a frame is more appropriate than a
 //! conservative per word error threshold."
 
+use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::threshold::ErrorThreshold;
 
 /// A sliding per-window error budget.
@@ -56,6 +57,12 @@ impl WindowBudget {
         self.base_percent
     }
 
+    /// The largest error any single word may incur, in percent:
+    /// `4 × base_percent`, at most 100.
+    pub fn max_percent(&self) -> u32 {
+        self.max_percent
+    }
+
     /// Remaining budget in the current window, in percentage points.
     pub fn remaining_percent(&self) -> f64 {
         (self.window as f64 * self.base_percent as f64) - self.used_percent
@@ -84,6 +91,32 @@ impl WindowBudget {
             self.seen = 0;
             self.used_percent = 0.0;
         }
+    }
+
+    /// Serializes the budget, cursor included, for a simulator snapshot.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.u32(self.window);
+        w.u32(self.base_percent);
+        w.f64_bits(self.used_percent);
+        w.u32(self.seen);
+    }
+
+    /// Reads a budget written by [`save_state`](Self::save_state). A field
+    /// [`new`](Self::new) would reject, or a cursor past the window, is a
+    /// typed error rather than a panic.
+    pub fn load_state(r: &mut SnapReader<'_>) -> Result<WindowBudget, SnapError> {
+        let window = r.u32()?;
+        let base_percent = r.u32()?;
+        let used_percent = r.f64_bits()?;
+        let seen = r.u32()?;
+        if window == 0 || !(1..=100).contains(&base_percent) || seen >= window {
+            return Err(SnapError::Invalid("window budget"));
+        }
+        Ok(WindowBudget {
+            used_percent,
+            seen,
+            ..WindowBudget::new(window, base_percent)
+        })
     }
 }
 
@@ -153,5 +186,31 @@ mod tests {
     #[should_panic(expected = "base percentage")]
     fn bad_percent_rejected() {
         let _ = WindowBudget::new(4, 0);
+    }
+
+    #[test]
+    fn state_round_trips_mid_window_and_rejects_bad_bytes() {
+        let mut b = WindowBudget::new(8, 10);
+        b.record(0.25);
+        b.record(0.0);
+        assert_eq!(b.max_percent(), 40);
+        let mut w = SnapWriter::new();
+        b.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let back = WindowBudget::load_state(&mut SnapReader::new(&bytes)).expect("load");
+        assert_eq!(back, b);
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                WindowBudget::load_state(&mut SnapReader::new(&bytes[..cut])),
+                Err(SnapError::Truncated)
+            );
+        }
+        // A cursor at the window's end cannot be saved by `record`.
+        let mut bad = bytes.clone();
+        bad[16..20].copy_from_slice(&8u32.to_le_bytes());
+        assert!(WindowBudget::load_state(&mut SnapReader::new(&bad)).is_err());
+        let mut bad = bytes;
+        bad[4..8].copy_from_slice(&0u32.to_le_bytes());
+        assert!(WindowBudget::load_state(&mut SnapReader::new(&bad)).is_err());
     }
 }

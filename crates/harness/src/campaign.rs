@@ -6,7 +6,7 @@
 //! a cell's cache key is the canonical rendering of exactly those inputs:
 //! the full [`SystemConfig`], the mechanism, the workload and the seed,
 //! prefixed with a campaign kind that distinguishes differently-driven cells
-//! (benchmark traffic vs synthetic sweeps vs extension codecs). Cells that
+//! (benchmark traffic vs synthetic sweeps). Cells that
 //! are the same computation share a key across figures — a `fig13` rerun
 //! reuses the matrix cells `fig9` already paid for.
 
@@ -370,7 +370,7 @@ pub fn config_key(c: &SystemConfig) -> String {
 
 /// The content key of one simulation cell.
 ///
-/// `kind` names the cell computation (`bench`, `fig12 …`, `ext`); equal keys
+/// `kind` names the cell computation (`bench`, `synth`, `fig12 …`); equal keys
 /// must mean equal results, so anything that changes what the cell computes
 /// belongs in here.
 pub fn cell_key(
@@ -520,17 +520,8 @@ pub fn benchmark_job(
     config: &SystemConfig,
     seed: u64,
 ) -> JobSpec<RunResult> {
-    let id = format!("{}/{}/s{seed}", benchmark.name(), mechanism.name());
-    let key = cell_key("bench", config, mechanism.name(), benchmark.name(), seed);
-    let cfg = config.clone();
-    let cell = key.clone();
-    let job = JobSpec::new(id, key, move || {
-        match run_benchmark_cell(benchmark, mechanism, &cfg, seed, &cell) {
-            Ok(r) => r,
-            Err(e) => panic!("simulation failed: {e}"),
-        }
-    });
-    with_benchmark_warmup(job, benchmark, mechanism, config, seed)
+    checked_benchmark_job(benchmark, mechanism, config, seed)
+        .map(|r| r.unwrap_or_else(|e| panic!("simulation failed: {e}")))
 }
 
 /// The fault-tolerant sibling of [`benchmark_job`]: the cell returns `Err`

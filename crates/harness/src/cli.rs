@@ -68,7 +68,9 @@ options:
   --csv         emit CSV instead of a text table
   --json        emit JSON instead of a text table (lz and qos targets)
   --mechs A,B   mechanism columns for the matrix figures (fig9/10/11/15),
-                e.g. --mechs Baseline,FP-VAXX,LZ-VAXX (default: the paper's 5)
+                any case, from Baseline DI-COMP DI-VAXX FP-COMP FP-VAXX
+                LZ-VAXX BD-COMP BD-VAXX FP-adaptive FP-VAXX-win
+                (default: the paper's 5)
   --keep-going  complete campaigns past failed cells (exit 3 if any failed)
   --out PATH    output path (fig17 image directory, capture/replay trace)
 
@@ -141,19 +143,17 @@ impl Default for Opts {
     }
 }
 
-/// Parses a `--mechs` comma list into mechanism columns, accepting both the
-/// canonical names (`FP-VAXX`) and their lowercase spellings (`fp-vaxx`).
+/// Parses a `--mechs` comma list into mechanism columns, matching the names
+/// of [`Mechanism::EVERY`](crate::config::Mechanism::EVERY) in any case
+/// (`FP-VAXX`, `fp-vaxx`).
 fn parse_mechs(list: &str) -> Result<Vec<crate::config::Mechanism>, String> {
     let mechs: Vec<_> = list
         .split(',')
         .filter(|s| !s.is_empty())
         .map(|s| {
-            crate::config::Mechanism::from_name(s)
-                .or_else(|| crate::config::Mechanism::from_name(&s.to_uppercase()))
-                .or_else(|| match s.to_lowercase().as_str() {
-                    "baseline" => Some(crate::config::Mechanism::Baseline),
-                    _ => None,
-                })
+            crate::config::Mechanism::EVERY
+                .into_iter()
+                .find(|m| m.name().eq_ignore_ascii_case(s))
                 .ok_or_else(|| format!("unknown mechanism `{s}` in --mechs"))
         })
         .collect::<Result<_, _>>()?;
@@ -933,6 +933,16 @@ mod tests {
             ),
             other => panic!("wrong command {other:?}"),
         }
+        match parse_strs(&["run", "fig9", "--mechs", "baseline,bd-vaxx,FP-VAXX-win"])
+            .expect("parse")
+        {
+            Command::Run { opts, .. } => assert_eq!(
+                opts.mechs.as_deref(),
+                Some(&[Mechanism::Baseline, Mechanism::BdVaxx, Mechanism::FpVaxxWin][..])
+            ),
+            other => panic!("wrong command {other:?}"),
+        }
+        assert!(parse_strs(&["run", "fig9", "--mechs", "FAILED"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--mechs"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--mechs", "warp-drive"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--mechs", ","]).is_err());

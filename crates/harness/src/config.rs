@@ -1,14 +1,21 @@
 //! Experiment configuration: Table 1 plus the evaluation knobs of §5.1.
 
+use anoc_compression::adaptive::AdaptiveEncoder;
+use anoc_compression::bd::{BdDecoder, BdEncoder};
 use anoc_compression::di::{DiConfig, DiDecoder, DiEncoder};
 use anoc_compression::fp::{FpDecoder, FpEncoder};
 use anoc_compression::lz::{LzConfig, LzDecoder, LzEncoder};
 use anoc_core::avcl::Avcl;
 use anoc_core::control::QosSpec;
 use anoc_core::threshold::ErrorThreshold;
+use anoc_core::window::WindowBudget;
 use anoc_noc::{FaultPlan, LossPlan, NocConfig, NodeCodec};
 
-/// The five mechanisms compared throughout the evaluation.
+/// Words per error-budget window of FP-VAXX-win.
+const FP_WINDOW_WORDS: u32 = 16;
+
+/// Every mechanism the harness can simulate: the paper's five
+/// ([`Mechanism::ALL`]), LZ-VAXX and the extension-study codecs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mechanism {
     /// No compression.
@@ -26,9 +33,18 @@ pub enum Mechanism {
     /// don't-care patterns. Not part of the paper's five-way comparison
     /// ([`Mechanism::ALL`]); driven by the `anoc run lz` study.
     LzVaxx,
-    /// A custom mechanism driven through [`crate::runner::run_custom`]
-    /// (extension studies: BD-COMP/BD-VAXX, adaptive, windowed FP-VAXX).
-    Custom(&'static str),
+    /// Base-delta compression (after Zhan et al., cited in §6).
+    BdComp,
+    /// Base-delta compression + VAXX approximation.
+    BdVaxx,
+    /// FP-COMP behind Jin et al.'s adaptive on/off controller.
+    FpAdaptive,
+    /// FP-VAXX with a 16-word cumulative error budget (§7 future work).
+    FpVaxxWin,
+    /// The keep-going placeholder of a failed campaign cell
+    /// ([`crate::runner::RunResult::failed_sentinel`]). Not in
+    /// [`Mechanism::EVERY`], so no name, flag or cache entry parses to it.
+    Failed,
 }
 
 impl Mechanism {
@@ -41,6 +57,20 @@ impl Mechanism {
         Mechanism::FpVaxx,
     ];
 
+    /// Every mechanism a run can name, in the order `--mechs` lists them.
+    pub const EVERY: [Mechanism; 10] = [
+        Mechanism::Baseline,
+        Mechanism::DiComp,
+        Mechanism::DiVaxx,
+        Mechanism::FpComp,
+        Mechanism::FpVaxx,
+        Mechanism::LzVaxx,
+        Mechanism::BdComp,
+        Mechanism::BdVaxx,
+        Mechanism::FpAdaptive,
+        Mechanism::FpVaxxWin,
+    ];
+
     /// Display name as used in the figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -50,58 +80,40 @@ impl Mechanism {
             Mechanism::FpComp => "FP-COMP",
             Mechanism::FpVaxx => "FP-VAXX",
             Mechanism::LzVaxx => "LZ-VAXX",
-            Mechanism::Custom(name) => name,
+            Mechanism::BdComp => "BD-COMP",
+            Mechanism::BdVaxx => "BD-VAXX",
+            Mechanism::FpAdaptive => "FP-adaptive",
+            Mechanism::FpVaxxWin => "FP-VAXX-win",
+            Mechanism::Failed => "FAILED",
         }
     }
 
-    /// The inverse of [`name`](Self::name) over every mechanism the harness
-    /// knows, including the extension-study customs — the hook the result
-    /// cache uses to reconstruct a mechanism from its stored name.
+    /// The inverse of [`name`](Self::name) over [`Mechanism::EVERY`] — the
+    /// hook the result cache uses to reconstruct a mechanism from its stored
+    /// name. Exact case only.
     pub fn from_name(name: &str) -> Option<Mechanism> {
-        Some(match name {
-            "Baseline" => Mechanism::Baseline,
-            "DI-COMP" => Mechanism::DiComp,
-            "DI-VAXX" => Mechanism::DiVaxx,
-            "FP-COMP" => Mechanism::FpComp,
-            "FP-VAXX" => Mechanism::FpVaxx,
-            "LZ-VAXX" => Mechanism::LzVaxx,
-            "BD-COMP" => Mechanism::Custom("BD-COMP"),
-            "BD-VAXX" => Mechanism::Custom("BD-VAXX"),
-            "FP-adaptive" => Mechanism::Custom("FP-adaptive"),
-            "FP-VAXX-win" => Mechanism::Custom("FP-VAXX-win"),
-            _ => return None,
-        })
+        Mechanism::EVERY.into_iter().find(|m| m.name() == name)
     }
 
-    /// Whether this mechanism performs value approximation.
-    pub fn is_vaxx(&self) -> bool {
-        matches!(
-            self,
-            Mechanism::DiVaxx | Mechanism::FpVaxx | Mechanism::LzVaxx
-        )
-    }
-
-    /// Whether this mechanism uses the dynamic dictionary (the shared
-    /// encoder/decoder PMT with its install/invalidate notification
-    /// protocol). LZ-VAXX's dictionary is intra-block and stateless, so it
-    /// does not count.
-    pub fn is_dictionary(&self) -> bool {
-        matches!(self, Mechanism::DiComp | Mechanism::DiVaxx)
+    /// The per-word error the end-to-end bound checker allows this mechanism
+    /// under `config`: [`SystemConfig::bound_threshold`], except that
+    /// FP-VAXX-win lets one word spend up to its window's per-word cap.
+    pub fn bound_threshold(&self, config: &SystemConfig) -> ErrorThreshold {
+        let base = config.bound_threshold();
+        match self {
+            Mechanism::FpVaxxWin if !base.is_exact() => {
+                let cap = WindowBudget::new(FP_WINDOW_WORDS, base.percent()).max_percent();
+                ErrorThreshold::from_percent(cap).unwrap_or(base)
+            }
+            _ => base,
+        }
     }
 
     /// Builds the per-node codec pairs for a network of `nodes` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`Mechanism::Custom`]: custom mechanisms supply their own
-    /// codecs through [`crate::runner::run_custom`].
     pub fn codecs(&self, nodes: usize, threshold: ErrorThreshold) -> Vec<NodeCodec> {
         (0..nodes)
             .map(|_| match self {
-                Mechanism::Custom(name) => {
-                    panic!("custom mechanism {name} must use run_custom")
-                }
-                Mechanism::Baseline => NodeCodec::baseline(),
+                Mechanism::Baseline | Mechanism::Failed => NodeCodec::baseline(),
                 Mechanism::FpComp => {
                     NodeCodec::new(Box::new(FpEncoder::fp_comp()), Box::new(FpDecoder::new()))
                 }
@@ -129,6 +141,21 @@ impl Mechanism {
                         Avcl::new(threshold),
                     )),
                     Box::new(LzDecoder::new()),
+                ),
+                Mechanism::BdComp => {
+                    NodeCodec::new(Box::new(BdEncoder::bd_comp()), Box::new(BdDecoder::new()))
+                }
+                Mechanism::BdVaxx => NodeCodec::new(
+                    Box::new(BdEncoder::bd_vaxx(Avcl::new(threshold))),
+                    Box::new(BdDecoder::new()),
+                ),
+                Mechanism::FpAdaptive => NodeCodec::new(
+                    Box::new(AdaptiveEncoder::new(FpEncoder::fp_comp())),
+                    Box::new(FpDecoder::new()),
+                ),
+                Mechanism::FpVaxxWin => NodeCodec::new(
+                    Box::new(FpEncoder::fp_vaxx_windowed(FP_WINDOW_WORDS, threshold)),
+                    Box::new(FpDecoder::new()),
                 ),
             })
             .collect()
@@ -348,21 +375,44 @@ mod tests {
     #[test]
     fn mechanisms_build_matching_codecs() {
         let t = ErrorThreshold::default();
-        for m in Mechanism::ALL {
+        for m in Mechanism::EVERY.into_iter().chain([Mechanism::Failed]) {
             let codecs = m.codecs(4, t);
             assert_eq!(codecs.len(), 4);
+            // The adaptive wrapper and the windowed encoder report the FP
+            // codec they drive; the placeholder passes data through.
             let expected = match m {
-                Mechanism::Baseline => "Baseline",
-                Mechanism::DiComp => "DI-COMP",
-                Mechanism::DiVaxx => "DI-VAXX",
-                Mechanism::FpComp => "FP-COMP",
-                Mechanism::FpVaxx => "FP-VAXX",
-                Mechanism::LzVaxx => "LZ-VAXX",
-                Mechanism::Custom(name) => name,
+                Mechanism::FpAdaptive => "FP-COMP",
+                Mechanism::FpVaxxWin => "FP-VAXX",
+                Mechanism::Failed => "Baseline",
+                _ => m.name(),
             };
-            assert_eq!(codecs[0].encoder.name(), expected);
-            assert_eq!(m.to_string(), expected);
+            assert_eq!(codecs[0].encoder.name(), expected, "{m}");
+            assert_eq!(m.to_string(), m.name());
         }
+    }
+
+    #[test]
+    fn names_are_distinct_and_never_reach_failed() {
+        let names: std::collections::BTreeSet<_> =
+            Mechanism::EVERY.iter().map(Mechanism::name).collect();
+        assert_eq!(names.len(), Mechanism::EVERY.len(), "names are distinct");
+        assert!(Mechanism::ALL.iter().all(|m| Mechanism::EVERY.contains(m)));
+        assert!(!Mechanism::EVERY.contains(&Mechanism::Failed));
+        assert_eq!(Mechanism::from_name(Mechanism::Failed.name()), None);
+        assert_eq!(Mechanism::from_name("bd-vaxx"), None, "exact case only");
+    }
+
+    #[test]
+    fn only_the_windowed_encoder_widens_the_bound() {
+        let cfg = SystemConfig::paper();
+        for m in Mechanism::EVERY {
+            let want = if m == Mechanism::FpVaxxWin { 40 } else { 10 };
+            assert_eq!(m.bound_threshold(&cfg).percent(), want, "{m}");
+        }
+        let exact = SystemConfig::paper().with_threshold(0);
+        assert!(Mechanism::FpVaxxWin.bound_threshold(&exact).is_exact());
+        let wide = SystemConfig::paper().with_threshold(30);
+        assert_eq!(Mechanism::FpVaxxWin.bound_threshold(&wide).percent(), 100);
     }
 
     #[test]
@@ -372,16 +422,6 @@ mod tests {
         let codecs = Mechanism::LzVaxx.codecs(4, ErrorThreshold::default());
         assert_eq!(codecs.len(), 4);
         assert_eq!(codecs[0].encoder.name(), "LZ-VAXX");
-    }
-
-    #[test]
-    fn vaxx_and_dictionary_classification() {
-        assert!(Mechanism::DiVaxx.is_vaxx() && Mechanism::FpVaxx.is_vaxx());
-        assert!(Mechanism::LzVaxx.is_vaxx());
-        assert!(!Mechanism::DiComp.is_vaxx() && !Mechanism::Baseline.is_vaxx());
-        assert!(Mechanism::DiComp.is_dictionary() && Mechanism::DiVaxx.is_dictionary());
-        assert!(!Mechanism::FpComp.is_dictionary());
-        assert!(!Mechanism::LzVaxx.is_dictionary());
     }
 
     #[test]

@@ -1158,95 +1158,41 @@ pub fn fig17(seed: u64) -> Fig17Result {
 /// after the Zhan et al. mechanism cited in §6) — plus Jin et al.'s
 /// adaptive on/off controller wrapped around FP-COMP. Demonstrates the §1
 /// claim that VAXX is a "plug and play module for any underlying NoC data
-/// compression mechanism".
+/// compression mechanism". Every cell is a standard `bench` cell, so the
+/// FP-COMP/FP-VAXX rows are Figure 9's cells.
 pub fn extension_study(benchmark: Benchmark, config: &SystemConfig, seed: u64) -> Vec<RunResult> {
     const MECHANISMS: [Mechanism; 6] = [
         Mechanism::FpComp,
         Mechanism::FpVaxx,
-        Mechanism::Custom("BD-COMP"),
-        Mechanism::Custom("BD-VAXX"),
-        Mechanism::Custom("FP-adaptive"),
-        Mechanism::Custom("FP-VAXX-win"),
+        Mechanism::BdComp,
+        Mechanism::BdVaxx,
+        Mechanism::FpAdaptive,
+        Mechanism::FpVaxxWin,
     ];
     let jobs = MECHANISMS
         .iter()
-        .map(|&mechanism| {
-            let id = format!("ext/{}/{}", benchmark.name(), mechanism.name());
-            let key = cell_key("ext", config, mechanism.name(), benchmark.name(), seed);
-            let config = config.clone();
-            JobSpec::new(id, key, move || {
-                run_extension_cell(benchmark, mechanism, &config, seed)
-            })
-        })
+        .map(|&mechanism| benchmark_job(benchmark, mechanism, config, seed))
         .collect();
     context().run("extensions", jobs)
-}
-
-/// Runs one extension-study cell: `mechanism`'s codec family (built fresh
-/// per node) under benchmark traffic.
-fn run_extension_cell(
-    benchmark: Benchmark,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    seed: u64,
-) -> RunResult {
-    use crate::runner::run_custom;
-    use anoc_compression::adaptive::AdaptiveEncoder;
-    use anoc_compression::bd::{BdDecoder, BdEncoder};
-    use anoc_compression::fp::{FpDecoder, FpEncoder};
-    use anoc_core::avcl::Avcl;
-    use anoc_core::window::WindowBudget;
-    use anoc_noc::NodeCodec;
-    use anoc_traffic::BenchmarkTraffic;
-
-    let nodes = config.noc.num_nodes();
-    let t = config.threshold();
-    let factory = || -> NodeCodec {
-        match mechanism.name() {
-            "FP-COMP" => NodeCodec::new(Box::new(FpEncoder::fp_comp()), Box::new(FpDecoder::new())),
-            "FP-VAXX" => NodeCodec::new(
-                Box::new(FpEncoder::fp_vaxx(Avcl::new(t))),
-                Box::new(FpDecoder::new()),
-            ),
-            "BD-COMP" => NodeCodec::new(Box::new(BdEncoder::bd_comp()), Box::new(BdDecoder::new())),
-            "BD-VAXX" => NodeCodec::new(
-                Box::new(BdEncoder::bd_vaxx(Avcl::new(t))),
-                Box::new(BdDecoder::new()),
-            ),
-            "FP-adaptive" => NodeCodec::new(
-                Box::new(AdaptiveEncoder::new(FpEncoder::fp_comp())),
-                Box::new(FpDecoder::new()),
-            ),
-            "FP-VAXX-win" => NodeCodec::new(
-                Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(
-                    16,
-                    t.percent().max(1),
-                ))),
-                Box::new(FpDecoder::new()),
-            ),
-            other => panic!("unknown extension mechanism {other}"),
-        }
-    };
-    let mut source = BenchmarkTraffic::new(benchmark, nodes, config.approx_ratio, seed);
-    let codecs = (0..nodes).map(|_| factory()).collect();
-    run_custom(&mut source, mechanism, config, codecs)
 }
 
 /// Renders the extension study as a text table.
 pub fn render_extension(benchmark: Benchmark, results: &[RunResult]) -> String {
     let mut out = format!(
         "Extension study ({benchmark}): VAXX plugged into three compression families\n\
-         mechanism     latency  norm_flits  comp_ratio  approx_frac  quality\n"
+         mechanism     latency  norm_flits  comp_ratio  approx_frac  quality   checked  violations\n"
     );
     for r in results {
         out.push_str(&format!(
-            "{:<13} {:>8.2} {:>11.3} {:>11.3} {:>12.3} {:>8.4}{}\n",
+            "{:<13} {:>8.2} {:>11.3} {:>11.3} {:>12.3} {:>8.4} {:>9} {:>11}{}\n",
             r.mechanism.name(),
             r.avg_packet_latency(),
             r.stats.normalized_data_flits(),
             r.stats.encode.compression_ratio(),
             r.stats.encode.approx_fraction(),
             r.data_quality(),
+            r.stats.faults.bound_checked_words,
+            r.stats.faults.bound_violations,
             // A run that outlived its drain budget reports lower-bound
             // delivery stats, not final ones — say so on the cell's line.
             if r.drained { "" } else { "  [undrained]" },
@@ -1586,6 +1532,23 @@ mod tests {
         let di = matrix.get(Benchmark::Ssca2, Mechanism::DiComp);
         let divaxx = matrix.get(Benchmark::Ssca2, Mechanism::DiVaxx);
         assert!(divaxx.stats.encode.encoded_fraction() >= di.stats.encode.encoded_fraction());
+    }
+
+    #[test]
+    fn matrix_runs_extension_mechanisms_with_audited_bounds() {
+        let cfg = SystemConfig::paper().with_sim_cycles(500);
+        let mechs = [Mechanism::Baseline, Mechanism::BdVaxx, Mechanism::FpVaxxWin];
+        let matrix = BenchmarkMatrix::run_with(&cfg, 2, &mechs);
+        assert_eq!(matrix.cells.len(), 8);
+        for (b, runs) in &matrix.cells {
+            assert_eq!(runs.len(), 3);
+            for (r, m) in runs.iter().zip(mechs) {
+                assert_eq!(r.mechanism, m, "{b}");
+                assert!(r.stats.faults.bound_checked_words > 0, "{b}/{m}");
+                assert_eq!(r.stats.faults.bound_violations, 0, "{b}/{m}");
+            }
+        }
+        assert_eq!(fig9(&matrix).len(), 24);
     }
 
     #[test]

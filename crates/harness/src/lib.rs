@@ -3,8 +3,8 @@
 //! The experiment harness that regenerates every table and figure of
 //! APPROX-NoC (ISCA 2017):
 //!
-//! * [`config`] — [`SystemConfig`] (Table 1 defaults) and the five
-//!   [`Mechanism`]s under comparison;
+//! * [`config`] — [`SystemConfig`] (Table 1 defaults) and the
+//!   [`Mechanism`]s: the paper's five, LZ-VAXX and the extension codecs;
 //! * [`runner`] — the generic traffic → NoC → statistics driver;
 //! * [`experiments`] — one runner per figure (`fig9` … `fig17`) plus text
 //!   renderers producing the same rows/series the paper reports;

@@ -301,16 +301,22 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_handles_default_and_custom() {
-        let r = RunResult {
-            mechanism: Mechanism::Custom("BD-VAXX"),
-            stats: NetStats::default(),
-            activity: ActivityReport::default(),
-            nodes: 0,
-            total_cycles: 0,
-            drained: false,
-        };
-        assert_roundtrip(&r);
+    fn roundtrip_handles_every_mechanism() {
+        for mechanism in Mechanism::EVERY {
+            assert_eq!(Mechanism::from_name(mechanism.name()), Some(mechanism));
+            let r = RunResult {
+                mechanism,
+                stats: NetStats::default(),
+                activity: ActivityReport::default(),
+                nodes: 0,
+                total_cycles: 0,
+                drained: false,
+            };
+            assert_roundtrip(&r);
+        }
+        // The keep-going placeholder never comes back out of the cache.
+        let failed = encode_run_result(&RunResult::failed_sentinel());
+        assert!(decode_run_result(&failed).is_none());
     }
 
     #[test]

@@ -61,11 +61,11 @@ impl RunResult {
     }
 
     /// The placeholder substituted for a failed cell when a keep-going
-    /// campaign completes despite per-cell errors: mechanism `"FAILED"`,
+    /// campaign completes despite per-cell errors: [`Mechanism::Failed`],
     /// every statistic zero. Never cached.
     pub fn failed_sentinel() -> Self {
         RunResult {
-            mechanism: Mechanism::Custom("FAILED"),
+            mechanism: Mechanism::Failed,
             stats: NetStats::default(),
             activity: ActivityReport::default(),
             nodes: 0,
@@ -76,7 +76,7 @@ impl RunResult {
 
     /// Whether this result is the keep-going failure placeholder.
     pub fn is_failed_sentinel(&self) -> bool {
-        self.mechanism == Mechanism::Custom("FAILED") && self.total_cycles == 0
+        self.mechanism == Mechanism::Failed
     }
 }
 
@@ -167,65 +167,6 @@ pub fn try_run_with_source(
     cold_run(source, mechanism, config, None, &SnapshotPolicy::cold())
 }
 
-/// Runs with explicitly supplied codec pairs — the entry point for
-/// extension mechanisms (BD-COMP/BD-VAXX, adaptive or windowed encoders)
-/// that [`Mechanism`] does not enumerate.
-///
-/// # Panics
-///
-/// Panics if `source` / `codecs` disagree with the configuration's node
-/// count, or if the watchdog/bound checker aborts the run.
-pub fn run_custom(
-    source: &mut dyn TrafficSource,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    codecs: Vec<anoc_noc::NodeCodec>,
-) -> RunResult {
-    match try_run_custom(source, mechanism, config, codecs) {
-        Ok(r) => r,
-        Err(e) => panic!("simulation failed: {e}"),
-    }
-}
-
-/// Fallible [`run_custom`]: custom codecs are used as supplied for the whole
-/// run (no exact-warmup retargeting — adaptive and windowed encoders manage
-/// their own thresholds), and the end-to-end bound checker stays off for
-/// [`Mechanism::Custom`], whose per-word allowance the configuration's
-/// threshold does not describe.
-///
-/// # Panics
-///
-/// Panics if `source` / `codecs` disagree with the configuration's node
-/// count.
-pub fn try_run_custom(
-    source: &mut dyn TrafficSource,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    codecs: Vec<anoc_noc::NodeCodec>,
-) -> Result<RunResult, SimError> {
-    let nodes = config.noc.num_nodes();
-    assert_eq!(
-        source.num_nodes(),
-        nodes,
-        "traffic source and NoC disagree on node count"
-    );
-    let mut sim = NocSim::new(config.noc.clone(), codecs);
-    sim.set_shards(run_shards(config, anoc_exec::cell_threads()));
-    sim.set_fault_plan(config.faults);
-    sim.set_loss_plan(config.loss);
-    sim.set_qos(config.qos);
-    sim.set_watchdog(config.watchdog_horizon);
-    let mut buf: Vec<Injection> = Vec::new();
-    drive(&mut sim, source, config.warmup_cycles, &mut buf)?;
-    if !matches!(mechanism, Mechanism::Custom(_)) {
-        sim.set_bound_check(config.bound_threshold());
-    }
-    // Unconditional: a zero-cycle warmup (even with a zero-cycle measurement
-    // window) still arms measurement, so the statistics are well-defined.
-    sim.begin_measurement();
-    measure_and_finish(&mut sim, source, mechanism, config, None, &mut buf)
-}
-
 /// Offers one cycle of traffic and advances the simulator, keeping the
 /// delivery log drained.
 fn step_cycle(
@@ -309,8 +250,8 @@ fn run_shards(config: &SystemConfig, cell_threads: usize) -> usize {
 
 /// The measurement boundary of a staged run: retarget the encoders to the
 /// configured threshold, arm the bound checker, start measuring.
-fn arm_measurement(sim: &mut NocSim, config: &SystemConfig) {
-    rearm_thresholds(sim, config);
+fn arm_measurement(sim: &mut NocSim, mechanism: Mechanism, config: &SystemConfig) {
+    rearm_thresholds(sim, mechanism, config);
     sim.begin_measurement();
 }
 
@@ -319,28 +260,18 @@ fn arm_measurement(sim: &mut NocSim, config: &SystemConfig) {
 /// configured threshold; QoS runs must NOT — the per-flow controllers own
 /// the encoder thresholds (lazily reinstalled per enqueue), and a global
 /// retarget here would stomp what the controllers learned. Either way the
-/// bound checker arms at [`SystemConfig::bound_threshold`].
-fn rearm_thresholds(sim: &mut NocSim, config: &SystemConfig) {
+/// bound checker arms at [`Mechanism::bound_threshold`].
+fn rearm_thresholds(sim: &mut NocSim, mechanism: Mechanism, config: &SystemConfig) {
     if !config.qos.is_active() {
         sim.set_error_threshold(config.threshold());
     }
-    sim.set_bound_check(config.bound_threshold());
+    sim.set_bound_check(mechanism.bound_threshold(config));
 }
 
 /// Runs the measurement window from wherever `sim` currently stands to its
-/// end, then drains and assembles the [`RunResult`]. Checkpoints per
-/// `policy` and retires the cell's checkpoint on success.
-fn measure_and_finish(
-    sim: &mut NocSim,
-    source: &mut dyn TrafficSource,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    store: Option<&SnapshotStore>,
-    buf: &mut Vec<Injection>,
-) -> Result<RunResult, SimError> {
-    measure_and_finish_ckpt(sim, source, mechanism, config, store, 0, None, buf)
-}
-
+/// end, then drains and assembles the [`RunResult`]. Checkpoints every
+/// `checkpoint_every` measured cycles under `cell_key` and retires the
+/// cell's checkpoint on success.
 #[allow(clippy::too_many_arguments)]
 fn measure_and_finish_ckpt(
     sim: &mut NocSim,
@@ -409,7 +340,7 @@ fn cold_run(
             publish(st, wk, STAGE_WARMUP, &sim, source);
         }
     }
-    arm_measurement(&mut sim, config);
+    arm_measurement(&mut sim, mechanism, config);
     measure_and_finish_ckpt(
         &mut sim,
         source,
@@ -528,117 +459,88 @@ pub fn try_run_benchmark_snap(
         None
     };
     let total = config.warmup_cycles + config.sim_cycles;
-    let mut buf: Vec<Injection> = Vec::new();
+
+    // Restores the `tag`-stage blob stored under `key` into a fresh
+    // simulator and source and runs the rest of the cell from there. `None`
+    // when the store holds no such blob or it fails to restore or to pass
+    // `cycle_ok`: the half-restored pair is then discarded and the caller
+    // falls through to the next way of obtaining the cell.
+    let restore =
+        |st: &SnapshotStore, key: &str, tag: u32, cycle_ok: &dyn Fn(u64) -> Result<(), String>| {
+            let blob = st.get(key)?;
+            let mut sim = fresh_sim(mechanism, config);
+            let mut source = make_source();
+            let thawed = thaw(&blob, tag, fnv1a64(key.as_bytes()), &mut sim, &mut source)
+                .and_then(|()| cycle_ok(sim.cycle()));
+            if let Err(msg) = thawed {
+                if tag == STAGE_CHECKPOINT {
+                    // A stale checkpoint is worse than none: drop it so the next
+                    // resume does not trip over it again.
+                    eprintln!("{key} unusable ({msg}); restarting the cell");
+                    let _ = st.remove(key);
+                } else {
+                    // Counted as a cold cell, never a panic.
+                    eprintln!("warmup snapshot '{key}' unusable ({msg}); replaying warmup");
+                }
+                return None;
+            }
+            let skipped = sim.cycle();
+            if tag == STAGE_WARMUP {
+                arm_measurement(&mut sim, mechanism, config);
+            } else {
+                // Mid-measurement state: re-arm the excluded pieces (threshold,
+                // bound check) but do NOT begin a new measurement — the
+                // restored one continues.
+                rearm_thresholds(&mut sim, mechanism, config);
+            }
+            let finished = measure_and_finish_ckpt(
+                &mut sim,
+                &mut source,
+                mechanism,
+                config,
+                store,
+                policy.checkpoint_every,
+                policy.cell_key.as_deref(),
+                &mut Vec::new(),
+            );
+            Some(finished.map(|result| {
+                let info = StagedInfo {
+                    forked: tag == STAGE_WARMUP,
+                    resumed: tag == STAGE_CHECKPOINT,
+                    skipped_cycles: skipped,
+                };
+                (result, info)
+            }))
+        };
 
     // 1. Resume from the cell's last checkpoint.
-    if policy.resume {
-        if let (Some(st), Some(ck)) = (store, policy.cell_key.as_deref()) {
-            let key = checkpoint_key(ck);
-            if let Some(blob) = st.get(&key) {
-                let mut sim = fresh_sim(mechanism, config);
-                let mut source = make_source();
-                let thawed = thaw(
-                    &blob,
-                    STAGE_CHECKPOINT,
-                    fnv1a64(key.as_bytes()),
-                    &mut sim,
-                    &mut source,
-                )
-                .and_then(|()| {
-                    if sim.cycle() < config.warmup_cycles || sim.cycle() > total {
-                        Err(format!("checkpoint cycle {} out of range", sim.cycle()))
-                    } else {
-                        Ok(())
-                    }
-                });
-                match thawed {
-                    Ok(()) => {
-                        // Mid-measurement state: re-arm the excluded pieces
-                        // (threshold, bound check) but do NOT begin a new
-                        // measurement — the restored one continues.
-                        let skipped = sim.cycle();
-                        rearm_thresholds(&mut sim, config);
-                        let result = measure_and_finish_ckpt(
-                            &mut sim,
-                            &mut source,
-                            mechanism,
-                            config,
-                            store,
-                            policy.checkpoint_every,
-                            policy.cell_key.as_deref(),
-                            &mut buf,
-                        )?;
-                        return Ok((
-                            result,
-                            StagedInfo {
-                                forked: false,
-                                resumed: true,
-                                skipped_cycles: skipped,
-                            },
-                        ));
-                    }
-                    Err(msg) => {
-                        // A stale checkpoint is worse than none: drop it so
-                        // the next resume does not trip over it again.
-                        eprintln!("checkpoint for '{ck}' unusable ({msg}); restarting the cell");
-                        let _ = st.remove(&key);
-                    }
-                }
+    if let (true, Some(st), Some(ck)) = (policy.resume, store, policy.cell_key.as_deref()) {
+        let in_window = |cycle: u64| {
+            if cycle < config.warmup_cycles || cycle > total {
+                Err(format!("checkpoint cycle {cycle} out of range"))
+            } else {
+                Ok(())
             }
+        };
+        if let Some(done) = restore(st, &checkpoint_key(ck), STAGE_CHECKPOINT, &in_window) {
+            return done;
         }
     }
 
     // 2. Fork from the shared post-warmup snapshot.
     if let (Some(st), Some(wk)) = (store, policy.warmup_key.as_deref()) {
-        if let Some(blob) = st.get(wk) {
-            let mut sim = fresh_sim(mechanism, config);
-            let mut source = make_source();
-            let thawed = thaw(
-                &blob,
-                STAGE_WARMUP,
-                fnv1a64(wk.as_bytes()),
-                &mut sim,
-                &mut source,
-            )
-            .and_then(|()| {
-                if sim.cycle() == config.warmup_cycles {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "snapshot is at cycle {}, warmup ends at {}",
-                        sim.cycle(),
-                        config.warmup_cycles
-                    ))
-                }
-            });
-            match thawed {
-                Ok(()) => {
-                    arm_measurement(&mut sim, config);
-                    let result = measure_and_finish_ckpt(
-                        &mut sim,
-                        &mut source,
-                        mechanism,
-                        config,
-                        store,
-                        policy.checkpoint_every,
-                        policy.cell_key.as_deref(),
-                        &mut buf,
-                    )?;
-                    return Ok((
-                        result,
-                        StagedInfo {
-                            forked: true,
-                            resumed: false,
-                            skipped_cycles: config.warmup_cycles,
-                        },
-                    ));
-                }
-                Err(msg) => {
-                    // Counted as a cold cell, never a panic: discard the
-                    // half-restored pair and replay the warmup below.
-                    eprintln!("warmup snapshot '{wk}' unusable ({msg}); replaying warmup");
-                }
+        let at_boundary = |cycle: u64| {
+            if cycle == config.warmup_cycles {
+                Ok(())
+            } else {
+                Err(format!(
+                    "snapshot is at cycle {cycle}, warmup ends at {}",
+                    config.warmup_cycles
+                ))
             }
+        };
+        if let Some(done) = restore(st, wk, STAGE_WARMUP, &at_boundary) {
+            return done;
         }
     }
 
@@ -938,46 +840,52 @@ mod tests {
     fn forked_run_matches_cold_run_bit_for_bit() {
         let store = temp_store("fork");
         let cfg = SystemConfig::paper().with_sim_cycles(2_500);
-        let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::FpVaxx, 13);
-        let wk = "warmup fork-test";
-        assert!(
-            publish_benchmark_warmup(bench, mech, &cfg, seed, &store, wk).expect("warmup runs"),
-            "first publish simulates the warmup"
-        );
-        assert!(
-            !publish_benchmark_warmup(bench, mech, &cfg, seed, &store, wk).expect("no-op"),
-            "second publish is a store hit"
-        );
-        let policy = SnapshotPolicy {
-            store: Some(&store),
-            warmup_key: Some(wk.into()),
-            cell_key: Some("cell fork-test".into()),
-            checkpoint_every: 700,
-            resume: false,
-        };
-        let (warm, info) =
-            try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("forked run");
-        assert!(info.forked && !info.resumed);
-        assert_eq!(info.skipped_cycles, cfg.warmup_cycles);
-        let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold run");
-        assert_eq!(
-            crate::persist::encode_run_result(&warm),
-            crate::persist::encode_run_result(&cold),
-            "forking the warmup changed the measured result"
-        );
-        assert!(
-            store.get(&checkpoint_key("cell fork-test")).is_none(),
-            "completed cell retires its checkpoint"
-        );
-        // A corrupt warmup blob degrades to a cold cell with the same result.
-        store.put(wk, b"garbage").expect("corrupt");
-        let (fallback, info) =
-            try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("fallback run");
-        assert!(!info.forked && info.skipped_cycles == 0);
-        assert_eq!(
-            crate::persist::encode_run_result(&fallback),
-            crate::persist::encode_run_result(&cold)
-        );
+        let (bench, seed) = (Benchmark::Ssca2, 13);
+        for mech in Mechanism::EVERY {
+            let wk = format!("warmup fork-test {mech}");
+            let ck = format!("cell fork-test {mech}");
+            assert!(
+                publish_benchmark_warmup(bench, mech, &cfg, seed, &store, &wk)
+                    .expect("warmup runs"),
+                "{mech}: first publish simulates the warmup"
+            );
+            assert!(
+                !publish_benchmark_warmup(bench, mech, &cfg, seed, &store, &wk).expect("no-op"),
+                "{mech}: second publish is a store hit"
+            );
+            let policy = SnapshotPolicy {
+                store: Some(&store),
+                warmup_key: Some(wk.clone()),
+                cell_key: Some(ck.clone()),
+                checkpoint_every: 700,
+                resume: false,
+            };
+            let (warm, info) =
+                try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("forked run");
+            assert!(info.forked && !info.resumed, "{mech}");
+            assert_eq!(info.skipped_cycles, cfg.warmup_cycles);
+            let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold run");
+            assert_eq!(
+                crate::persist::encode_run_result(&warm),
+                crate::persist::encode_run_result(&cold),
+                "{mech}: forking the warmup changed the measured result"
+            );
+            assert!(
+                store.get(&checkpoint_key(&ck)).is_none(),
+                "{mech}: completed cell retires its checkpoint"
+            );
+            // A corrupt warmup blob degrades to a cold cell with the same
+            // result.
+            store.put(&wk, b"garbage").expect("corrupt");
+            let (fallback, info) =
+                try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("fallback run");
+            assert!(!info.forked && info.skipped_cycles == 0, "{mech}");
+            assert_eq!(
+                crate::persist::encode_run_result(&fallback),
+                crate::persist::encode_run_result(&cold),
+                "{mech}"
+            );
+        }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -1028,40 +936,52 @@ mod tests {
     fn resume_from_checkpoint_is_bit_identical_and_retires_it() {
         let store = temp_store("resume");
         let cfg = SystemConfig::paper().with_sim_cycles(3_000);
-        let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::FpVaxx, 11);
-        let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold reference");
-        // Reproduce a killed cell: warmup + 600 measured cycles, checkpoint,
-        // then "die".
-        let mut source = BenchmarkTraffic::new(bench, cfg.noc.num_nodes(), cfg.approx_ratio, seed);
-        let mut sim = fresh_sim(mech, &cfg);
-        let mut buf = Vec::new();
-        drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
-        arm_measurement(&mut sim, &cfg);
-        drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
-        let ck = "cell resume-test";
-        publish(&store, &checkpoint_key(ck), STAGE_CHECKPOINT, &sim, &source);
-        assert!(store.get(&checkpoint_key(ck)).is_some(), "checkpoint saved");
-        drop(sim);
-        let policy = SnapshotPolicy {
-            store: Some(&store),
-            warmup_key: None,
-            cell_key: Some(ck.into()),
-            checkpoint_every: 0,
-            resume: true,
-        };
-        let (resumed, info) =
-            try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("resumed run");
-        assert!(info.resumed && !info.forked);
-        assert_eq!(info.skipped_cycles, cfg.warmup_cycles + 600);
-        assert_eq!(
-            crate::persist::encode_run_result(&resumed),
-            crate::persist::encode_run_result(&cold),
-            "resuming mid-measurement changed the result"
-        );
-        assert!(
-            store.get(&checkpoint_key(ck)).is_none(),
-            "completed cell retires its checkpoint"
-        );
+        let (bench, seed) = (Benchmark::Ssca2, 11);
+        for mech in Mechanism::EVERY {
+            let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold reference");
+            // Reproduce a killed cell: warmup + 600 measured cycles,
+            // checkpoint, then "die".
+            let mut source =
+                BenchmarkTraffic::new(bench, cfg.noc.num_nodes(), cfg.approx_ratio, seed);
+            let mut sim = fresh_sim(mech, &cfg);
+            let mut buf = Vec::new();
+            drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
+            arm_measurement(&mut sim, mech, &cfg);
+            drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
+            let ck = format!("cell resume-test {mech}");
+            publish(
+                &store,
+                &checkpoint_key(&ck),
+                STAGE_CHECKPOINT,
+                &sim,
+                &source,
+            );
+            assert!(
+                store.get(&checkpoint_key(&ck)).is_some(),
+                "checkpoint saved"
+            );
+            drop(sim);
+            let policy = SnapshotPolicy {
+                store: Some(&store),
+                warmup_key: None,
+                cell_key: Some(ck.clone()),
+                checkpoint_every: 0,
+                resume: true,
+            };
+            let (resumed, info) =
+                try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("resumed run");
+            assert!(info.resumed && !info.forked, "{mech}");
+            assert_eq!(info.skipped_cycles, cfg.warmup_cycles + 600);
+            assert_eq!(
+                crate::persist::encode_run_result(&resumed),
+                crate::persist::encode_run_result(&cold),
+                "{mech}: resuming mid-measurement changed the result"
+            );
+            assert!(
+                store.get(&checkpoint_key(&ck)).is_none(),
+                "{mech}: completed cell retires its checkpoint"
+            );
+        }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 }

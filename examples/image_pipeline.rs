@@ -17,7 +17,6 @@ use approx_noc::apps::x264::X264;
 use approx_noc::compression::fp::{FpDecoder, FpEncoder};
 use approx_noc::core::metrics::psnr;
 use approx_noc::core::threshold::ErrorThreshold;
-use approx_noc::core::window::WindowBudget;
 
 fn main() {
     let out_dir = std::env::args()
@@ -64,7 +63,7 @@ fn main() {
     let plain = ApproxTransport::fp_vaxx(threshold);
     drop(plain);
     let mut windowed = ApproxTransport::from_codecs(
-        Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10))),
+        Box::new(FpEncoder::fp_vaxx_windowed(16, threshold)),
         Box::new(FpDecoder::new()),
     );
     let (_, _, windowed_diff) = evaluate(&tracker, &mut windowed);

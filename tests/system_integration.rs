@@ -164,13 +164,16 @@ fn runs_are_reproducible() {
 fn extension_codecs_compose_with_the_network() {
     // The plug-and-play claim: BD-COMP/BD-VAXX, the adaptive wrapper and
     // the windowed encoder all run through the full simulator with sound
-    // statistics.
+    // statistics, every delivered word audited against its bound.
     use approx_noc::harness::experiments::extension_study;
     let cfg = SystemConfig::paper().with_sim_cycles(2_500);
     let results = extension_study(Benchmark::Blackscholes, &cfg, 31);
     assert_eq!(results.len(), 6);
     for r in &results {
         assert!(r.stats.packets > 0, "{} delivered nothing", r.mechanism);
+        let audit = &r.stats.faults;
+        assert!(audit.bound_checked_words > 0, "{} unaudited", r.mechanism);
+        assert_eq!(audit.bound_violations, 0, "{}", r.mechanism);
         assert!(
             r.data_quality() > 0.97,
             "{}: quality {}",
