@@ -7,6 +7,7 @@
 //! anoc run all --cycles 20000      # every table and figure
 //! anoc run ablations --no-cache    # figs 13/14 + extension study, uncached
 //! anoc run fig12 --csv             # CSV instead of the text table
+//! anoc run qos --json              # JSON: {"study":"qos","rows":[...]}
 //! anoc run fig9 --seed 7 --threads 4
 //! anoc cache stats                 # entries / bytes / location
 //! anoc cache clear
@@ -22,12 +23,12 @@
 //! `--no-cache` is given.
 
 use anoc_exec::{ResultCache, SnapshotStore};
-use anoc_traffic::{Benchmark, DestPattern};
+use anoc_traffic::Benchmark;
 
 use crate::campaign;
 use crate::config::SystemConfig;
 use crate::experiments::{self, BenchmarkMatrix};
-use crate::power::AreaModel;
+use crate::table::{Format, Kind, Table};
 
 const USAGE: &str = "usage: anoc run <TARGET> [OPTIONS]
        anoc cache <stats|clear>
@@ -66,7 +67,7 @@ options:
                 killed campaign can restart with --resume (default 0 = off)
   --resume      restart killed cells from their last checkpoint
   --csv         emit CSV instead of a text table
-  --json        emit JSON instead of a text table (lz and qos targets)
+  --json        emit JSON instead of a text table (not with --csv)
   --mechs A,B   mechanism columns for the matrix figures (fig9/10/11/15),
                 any case, from Baseline DI-COMP DI-VAXX FP-COMP FP-VAXX
                 LZ-VAXX BD-COMP BD-VAXX FP-adaptive FP-VAXX-win
@@ -116,8 +117,7 @@ struct Opts {
     no_cache: bool,
     checkpoint_every: u64,
     resume: bool,
-    csv: bool,
-    json: bool,
+    format: Format,
     keep_going: bool,
     out: Option<String>,
     mechs: Option<Vec<crate::config::Mechanism>>,
@@ -134,8 +134,7 @@ impl Default for Opts {
             no_cache: false,
             checkpoint_every: 0,
             resume: false,
-            csv: false,
-            json: false,
+            format: Format::Text,
             keep_going: false,
             out: None,
             mechs: None,
@@ -270,8 +269,17 @@ fn parse(argv: &[String]) -> Result<Command, String> {
             "--no-cache" => opts.no_cache = true,
             "--checkpoint-every" => opts.checkpoint_every = num("--checkpoint-every")?,
             "--resume" => opts.resume = true,
-            "--csv" => opts.csv = true,
-            "--json" => opts.json = true,
+            "--csv" | "--json" => {
+                let format = if a == "--csv" {
+                    Format::Csv
+                } else {
+                    Format::Json
+                };
+                if opts.format != Format::Text && opts.format != format {
+                    return Err("--csv and --json cannot be combined".into());
+                }
+                opts.format = format;
+            }
             "--keep-going" => opts.keep_going = true,
             "--out" => opts.out = Some(it.next().ok_or("--out needs a path")?.to_string()),
             "--mechs" => {
@@ -477,204 +485,63 @@ fn print_sim_summary() {
 }
 
 fn run_target(target: &str, opts: &Opts) -> Result<(), String> {
-    match target {
-        "table1" => {
-            println!("Table 1: APPROX-NoC Simulation Configuration");
-            for (k, v) in config(opts, 50_000).table1_rows() {
-                println!("{k:<34} {v}");
-            }
-            Ok(())
-        }
-        "fig9" | "fig10" | "fig11" | "fig15" => matrix_figure(target, opts),
-        "fig12" => fig12(opts),
-        "fig13" => {
-            let cfg = config(opts, 15_000);
-            let rows = experiments::fig13(&cfg, cfg.seed);
-            if opts.csv {
-                print!("{}", experiments::sensitivity_csv(&rows));
-            } else {
-                print!(
-                    "{}",
-                    experiments::render_sensitivity(
-                        "Figure 13: Error Threshold Sensitivity",
-                        &rows
-                    )
-                );
-            }
-            Ok(())
-        }
-        "fig14" => {
-            let cfg = config(opts, 15_000);
-            let rows = experiments::fig14(&cfg, cfg.seed);
-            if opts.csv {
-                print!("{}", experiments::sensitivity_csv(&rows));
-            } else {
-                print!(
-                    "{}",
-                    experiments::render_sensitivity(
-                        "Figure 14: Approximable Packets Ratio Sensitivity",
-                        &rows
-                    )
-                );
-            }
-            Ok(())
-        }
-        "fig16" => {
-            let cfg = config(opts, 15_000);
-            let rows = experiments::fig16(&cfg, cfg.seed);
-            if opts.csv {
-                print!("{}", experiments::fig16_csv(&rows));
-            } else {
-                print!("{}", experiments::render_fig16(&rows));
-            }
-            Ok(())
-        }
-        "fig17" => fig17(opts),
-        "scale" => scale(opts),
-        "faults" => {
-            let cfg = config(opts, 15_000);
-            let rates: [u32; 5] = [0, 100, 1_000, 10_000, 100_000];
-            let (points, failures) =
-                experiments::faults_sweep(Benchmark::Blackscholes, &rates, &cfg, cfg.seed);
-            if opts.csv {
-                print!("{}", experiments::faults_csv(&points));
-            } else {
-                print!(
-                    "{}",
-                    experiments::render_faults(Benchmark::Blackscholes, &points, &failures)
-                );
-            }
-            Ok(())
-        }
-        "lossy" => {
-            let cfg = config(opts, 15_000);
-            let rates: [u32; 5] = [0, 100, 1_000, 10_000, 100_000];
-            // Each approximation-threshold percent adds 50 ppm per hop on
-            // top of the base rate: heavily approximated traffic rides the
-            // cheaper, lossier signaling.
-            let (points, failures) =
-                experiments::lossy_sweep(Benchmark::Blackscholes, &rates, 50, &cfg, cfg.seed);
-            if opts.csv {
-                print!("{}", experiments::lossy_csv(&points));
-            } else {
-                print!(
-                    "{}",
-                    experiments::render_lossy(Benchmark::Blackscholes, &points, &failures)
-                );
-            }
-            Ok(())
-        }
-        "qos" => {
-            let cfg = config(opts, 15_000);
-            let rows = experiments::qos_study(&cfg, cfg.seed, &[5, 10, 20]);
-            if opts.json {
-                print!("{}", experiments::qos_json(&rows));
-            } else if opts.csv {
-                print!("{}", experiments::qos_csv(&rows));
-            } else {
-                print!("{}", experiments::render_qos(&rows));
-            }
-            Ok(())
-        }
-        "lz" => {
-            let cfg = config(opts, 15_000);
-            let rows = experiments::lz_study(&cfg, cfg.seed, &[5, 10, 20], &Benchmark::ALL);
-            if opts.json {
-                print!("{}", experiments::lz_json(&rows));
-            } else if opts.csv {
-                print!("{}", experiments::lz_csv(&rows));
-            } else {
-                print!("{}", experiments::render_lz(&rows));
-            }
-            Ok(())
-        }
-        "extensions" => {
-            let cfg = config(opts, 20_000);
-            for b in [Benchmark::Blackscholes, Benchmark::Ssca2, Benchmark::X264] {
-                let results = experiments::extension_study(b, &cfg, cfg.seed);
-                println!("{}", experiments::render_extension(b, &results));
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown target `{other}`")),
-    }
+    print!("{}", target_table(target, opts)?.render(opts.format));
+    Ok(())
 }
 
-fn matrix_figure(target: &str, opts: &Opts) -> Result<(), String> {
-    let cfg = config(opts, 50_000);
-    let matrix = match &opts.mechs {
-        Some(mechs) => BenchmarkMatrix::run_with(&cfg, cfg.seed, mechs),
-        None => BenchmarkMatrix::run(&cfg, cfg.seed),
+/// Runs one target and returns its table.
+fn target_table(target: &str, opts: &Opts) -> Result<Table, String> {
+    let default_cycles = match target {
+        "table1" | "fig9" | "fig10" | "fig11" | "fig15" | "fig17" => 50_000,
+        "extensions" => 20_000,
+        _ => 15_000,
     };
-    match (target, opts.csv) {
-        ("fig9", false) => print!("{}", experiments::render_fig9(&experiments::fig9(&matrix))),
-        ("fig9", true) => print!("{}", experiments::fig9_csv(&experiments::fig9(&matrix))),
-        ("fig10", false) => print!(
-            "{}",
-            experiments::render_fig10(&experiments::fig10(&matrix))
-        ),
-        ("fig10", true) => print!("{}", experiments::fig10_csv(&experiments::fig10(&matrix))),
-        ("fig11", false) => print!(
-            "{}",
-            experiments::render_fig11(&experiments::fig11(&matrix))
-        ),
-        ("fig11", true) => print!("{}", experiments::fig11_csv(&experiments::fig11(&matrix))),
-        ("fig15", false) => {
-            print!(
-                "{}",
-                experiments::render_fig15(&experiments::fig15(&matrix))
-            );
-            let area = AreaModel::default();
-            println!(
-                "\nSection 5.5 area: DI-VAXX {:.4} mm^2, FP-VAXX {:.4} mm^2",
-                area.di_vaxx_encoder_mm2(),
-                area.fp_vaxx_encoder_mm2()
-            );
-        }
-        ("fig15", true) => print!("{}", experiments::fig15_csv(&experiments::fig15(&matrix))),
-        _ => unreachable!("matrix_figure called with {target}"),
-    }
-    Ok(())
-}
-
-fn fig12(opts: &Opts) -> Result<(), String> {
-    let cfg = config(opts, 15_000);
-    let rates: Vec<f64> = (1..=14).map(|i| i as f64 * 0.05).collect();
-    for (bench, label) in [
-        (Benchmark::Blackscholes, "blackscholes"),
-        (Benchmark::Streamcluster, "streamcluster"),
-    ] {
-        for (pattern, pname) in [
-            (DestPattern::UniformRandom, "UR"),
-            (DestPattern::Transpose, "TR"),
-        ] {
-            let series = experiments::fig12(bench, pattern, &rates, &cfg, cfg.seed);
-            let panel = format!("{label} {pname}");
-            if opts.csv {
-                print!("{}", experiments::fig12_csv(&panel, &series));
-            } else {
-                print!("{}", experiments::render_fig12(&panel, &series));
+    let cfg = config(opts, default_cycles);
+    let seed = cfg.seed;
+    // Every fault and loss sweep point, in flips or erasures per million.
+    let rates = [0, 100, 1_000, 10_000, 100_000];
+    Ok(match target {
+        "table1" => experiments::table1(&cfg),
+        "fig9" | "fig10" | "fig11" | "fig15" => {
+            let matrix = match &opts.mechs {
+                Some(mechs) => BenchmarkMatrix::run_with(&cfg, seed, mechs),
+                None => BenchmarkMatrix::run(&cfg, seed),
+            };
+            match target {
+                "fig9" => experiments::fig9(&matrix),
+                "fig10" => experiments::fig10(&matrix),
+                "fig11" => experiments::fig11(&matrix),
+                _ => experiments::fig15(&matrix),
             }
         }
-    }
-    Ok(())
+        "fig12" => experiments::fig12(&cfg, seed),
+        "fig13" => experiments::fig13(&cfg, seed),
+        "fig14" => experiments::fig14(&cfg, seed),
+        "fig16" => experiments::fig16(&cfg, seed),
+        "fig17" => fig17(opts.out.as_deref().unwrap_or("target/fig17"), seed)?,
+        "scale" => scale(opts),
+        "faults" => experiments::faults_sweep(Benchmark::Blackscholes, &rates, &cfg, seed),
+        // Each approximation-threshold percent adds 50 ppm per hop on top of
+        // the base rate: heavily approximated traffic rides the cheaper,
+        // lossier signaling.
+        "lossy" => experiments::lossy_sweep(Benchmark::Blackscholes, &rates, 50, &cfg, seed),
+        "qos" => experiments::qos_study(&cfg, seed, &[5, 10, 20]),
+        "lz" => experiments::lz_study(&cfg, seed, &[5, 10, 20], &Benchmark::ALL),
+        "extensions" => experiments::extensions(&cfg, seed),
+        other => return Err(format!("unknown target `{other}`")),
+    })
 }
 
-fn fig17(opts: &Opts) -> Result<(), String> {
-    let cfg = config(opts, 50_000);
-    let out = opts.out.clone().unwrap_or_else(|| "target/fig17".into());
-    let r = experiments::fig17(cfg.seed);
-    std::fs::create_dir_all(&out)
+/// Writes the Figure 17 frame pair under `out` and returns its table.
+fn fig17(out: &str, seed: u64) -> Result<Table, String> {
+    let r = experiments::fig17(seed);
+    std::fs::create_dir_all(out)
         .map_err(|e| format!("cannot create output directory {out}: {e}"))?;
     let precise = format!("{out}/bodytrack_precise.pgm");
     let approx = format!("{out}/bodytrack_approx.pgm");
     std::fs::write(&precise, &r.precise_pgm).map_err(|e| format!("cannot write {precise}: {e}"))?;
     std::fs::write(&approx, &r.approx_pgm).map_err(|e| format!("cannot write {approx}: {e}"))?;
-    println!(
-        "Figure 17: vector difference {:.4}% (paper: 2.4%)\n  {precise}\n  {approx}",
-        r.vector_difference * 100.0
-    );
-    Ok(())
+    Ok(r.table(&precise, &approx))
 }
 
 /// The `scale` target: single-simulation step-throughput across mesh sizes,
@@ -683,7 +550,7 @@ fn fig17(opts: &Opts) -> Result<(), String> {
 /// measures the cycle kernel rather than a traffic generator. Timing is the
 /// measurement, so this never touches the result cache and runs one
 /// simulation at a time.
-fn scale(opts: &Opts) -> Result<(), String> {
+fn scale(opts: &Opts) -> Table {
     use anoc_core::data::{CacheBlock, NodeId};
     use anoc_core::rng::Pcg32;
     use anoc_noc::{NocConfig, NocSim, NodeCodec};
@@ -693,10 +560,17 @@ fn scale(opts: &Opts) -> Result<(), String> {
     let cycles = if opts.cycles == 0 { 2_000 } else { opts.cycles };
     let grids: &[(usize, usize)] = &[(8, 8), (16, 16), (32, 32)];
     let grids = &grids[..opts.grids.min(grids.len())];
-    println!("Kernel scaling: {cycles} stepped cycles per point, serial vs {shards} shards");
-    if opts.csv {
-        println!("mesh,nodes,serial_mcycs,sharded_mcycs,speedup");
-    }
+    let mut t = Table::new(
+        "scale",
+        format!("Kernel scaling: {cycles} stepped cycles per point, serial vs {shards} shards"),
+        &[
+            ("mesh", Kind::Text),
+            ("nodes", Kind::Int),
+            ("serial_mcycs", Kind::Fixed(4)),
+            ("sharded_mcycs", Kind::Fixed(4)),
+            ("speedup", Kind::Fixed(4)),
+        ],
+    );
     for &(w, h) in grids {
         let config = NocConfig::cmesh(w, h, 2);
         let nodes = config.num_nodes();
@@ -733,23 +607,15 @@ fn scale(opts: &Opts) -> Result<(), String> {
             }
             rates[i] = cycles as f64 / start.elapsed().as_secs_f64().max(1e-9) / 1e6;
         }
-        if opts.csv {
-            println!(
-                "{w}x{h},{nodes},{:.4},{:.4},{:.4}",
-                rates[0],
-                rates[1],
-                rates[1] / rates[0]
-            );
-        } else {
-            println!(
-                "  {w:>2}x{h:<2} cmesh ({nodes:>4} nodes): serial {:>7.3} Mcyc/s, {shards} shards {:>7.3} Mcyc/s, speedup {:.2}x",
-                rates[0],
-                rates[1],
-                rates[1] / rates[0]
-            );
-        }
+        t.push(vec![
+            format!("{w}x{h}").into(),
+            nodes.into(),
+            rates[0].into(),
+            rates[1].into(),
+            (rates[1] / rates[0]).into(),
+        ]);
     }
-    Ok(())
+    t
 }
 
 fn capture(opts: &Opts) -> Result<(), String> {
@@ -834,7 +700,7 @@ mod tests {
                 assert_eq!(opts.seed, 7);
                 assert_eq!(opts.threads, Some(3));
                 assert!(opts.no_cache);
-                assert!(opts.csv);
+                assert_eq!(opts.format, Format::Csv);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -921,7 +787,7 @@ mod tests {
             match parse_strs(&["run", t, "--json"]).expect("parse") {
                 Command::Run { target, opts } => {
                     assert_eq!(target, t);
-                    assert!(opts.json);
+                    assert_eq!(opts.format, Format::Json);
                 }
                 other => panic!("wrong command {other:?}"),
             }
@@ -1004,11 +870,16 @@ mod tests {
         assert!(parse_strs(&["run", "fig99"]).is_err());
         assert!(parse_strs(&["fig9", "--cycles"]).is_err());
         assert!(parse_strs(&["fig9", "--frobnicate"]).is_err());
+        // One output format: asking for two is an error, not a silent pick.
+        assert!(parse_strs(&["run", "qos", "--csv", "--json"]).is_err());
+        assert!(parse_strs(&["lz", "--json", "--csv"]).is_err());
+        assert!(parse_strs(&["fig9", "--csv", "--csv"]).is_ok());
     }
 
     #[test]
     fn run_argv_reports_usage_exit_code() {
         assert_eq!(run_args(&["definitely-not-a-command"]), 2);
+        assert_eq!(run_args(&["run", "table1", "--csv", "--json"]), 2);
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! One runner per table/figure of the paper's evaluation (§5).
 //!
-//! Every function regenerates the corresponding result: the same rows or
-//! series the paper plots, printed via the `render_*` helpers or consumed
-//! programmatically. Absolute numbers differ from the paper (the substrate
-//! is a reimplemented simulator driven by modelled traffic); EXPERIMENTS.md
+//! Every study regenerates the corresponding result as a [`Table`]: the
+//! same rows or series the paper plots, printed by `anoc run` as text, CSV
+//! or JSON. Absolute numbers differ from the paper (the substrate is a
+//! reimplemented simulator driven by modelled traffic); EXPERIMENTS.md
 //! records the shape comparison.
 
 use anoc_exec::{CellFailure, JobSpec};
-use anoc_noc::{FaultPlan, LossPlan};
+use anoc_noc::{FaultPlan, FaultStats, LossPlan};
 use anoc_traffic::{Benchmark, DataPool, DestPattern, SyntheticTraffic};
 
 use crate::campaign::{benchmark_job, cell_key, checked_benchmark_job, context, pattern_tag};
 use crate::config::{Mechanism, SystemConfig};
-use crate::power::EnergyModel;
+use crate::power::{AreaModel, EnergyModel};
 pub use crate::runner::{run_benchmark, run_with_source, RunResult};
+use crate::table::{Cell, Kind, Table};
+
+/// The `(benchmark, mechanism)` key columns of the matrix figures.
+const MATRIX_KEYS: [(&str, Kind); 2] = [("benchmark", Kind::Text), ("mechanism", Kind::Text)];
 
 /// The full benchmark × mechanism result matrix backing Figures 9, 10, 11
 /// and 15.
@@ -70,193 +74,159 @@ impl BenchmarkMatrix {
             .expect("mechanism present");
         &runs[idx]
     }
-}
 
-/// One bar of Figure 9: latency breakdown plus data quality.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig9Row {
-    /// Benchmark.
-    pub benchmark: Benchmark,
-    /// Mechanism.
-    pub mechanism: Mechanism,
-    /// NI queueing latency (cycles).
-    pub queue_lat: f64,
-    /// Network latency (cycles).
-    pub net_lat: f64,
-    /// Decode latency (cycles).
-    pub decode_lat: f64,
-    /// Data value quality (right axis).
-    pub quality: f64,
-}
-
-impl Fig9Row {
-    /// Total average packet latency.
-    pub fn total(&self) -> f64 {
-        self.queue_lat + self.net_lat + self.decode_lat
+    /// A matrix figure: the key columns plus `columns`, one row per cell
+    /// that `values` fills from its benchmark's runs and itself (`None`
+    /// leaves the cell out).
+    fn table(
+        &self,
+        id: &'static str,
+        title: &str,
+        columns: &[(&'static str, Kind)],
+        values: impl Fn(&[RunResult], &RunResult) -> Option<Vec<Cell>>,
+    ) -> Table {
+        let mut t = Table::new(id, title, &[&MATRIX_KEYS[..], columns].concat());
+        for (b, runs) in &self.cells {
+            for r in runs {
+                if let Some(values) = values(runs, r) {
+                    let mut row = vec![b.name().into(), r.mechanism.name().into()];
+                    row.extend(values);
+                    t.push(row);
+                }
+            }
+        }
+        t
     }
 }
 
 /// Figure 9: average packet latency breakdown and approximation quality.
-pub fn fig9(matrix: &BenchmarkMatrix) -> Vec<Fig9Row> {
-    let mut rows = Vec::new();
-    for (b, runs) in &matrix.cells {
-        for r in runs {
-            rows.push(Fig9Row {
-                benchmark: *b,
-                mechanism: r.mechanism,
-                queue_lat: r.stats.avg_queue_latency(),
-                net_lat: r.stats.avg_net_latency(),
-                decode_lat: r.stats.avg_decode_latency(),
-                quality: r.data_quality(),
-            });
-        }
-    }
-    rows
+pub fn fig9(matrix: &BenchmarkMatrix) -> Table {
+    matrix.table(
+        "fig9",
+        "Figure 9: Average Packet Latency Breakdown and Overall Approximation Quality",
+        &[
+            ("queue_lat", Kind::Fixed(4)),
+            ("net_lat", Kind::Fixed(4)),
+            ("decode_lat", Kind::Fixed(4)),
+            ("total", Kind::Fixed(4)),
+            ("quality", Kind::Fixed(6)),
+        ],
+        |_, r| {
+            let queue = r.stats.avg_queue_latency();
+            let net = r.stats.avg_net_latency();
+            let decode = r.stats.avg_decode_latency();
+            let total = queue + net + decode;
+            Some(vec![
+                queue.into(),
+                net.into(),
+                decode.into(),
+                total.into(),
+                r.data_quality().into(),
+            ])
+        },
+    )
 }
 
-/// Renders Figure 9 as a text table.
-pub fn render_fig9(rows: &[Fig9Row]) -> String {
-    let mut out = String::from(
-        "Figure 9: Average Packet Latency Breakdown and Overall Approximation Quality\n\
-         benchmark      mechanism  queue_lat  net_lat  decode_lat  total  quality\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14} {:<9} {:>9.2} {:>8.2} {:>10.3} {:>6.2} {:>8.4}\n",
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.queue_lat,
-            r.net_lat,
-            r.decode_lat,
-            r.total(),
-            r.quality,
-        ));
-    }
-    out
+/// Figure 10: encoded-word breakdown (a) and compression ratio (b), for
+/// the compression mechanisms only (baseline is omitted as in the paper).
+pub fn fig10(matrix: &BenchmarkMatrix) -> Table {
+    matrix.table(
+        "fig10",
+        "Figure 10: Encoded Word Fraction (exact + approx) and Compression Ratio",
+        &[
+            ("exact_fraction", Kind::Fixed(6)),
+            ("approx_fraction", Kind::Fixed(6)),
+            ("compression_ratio", Kind::Fixed(6)),
+        ],
+        |_, r| {
+            let e = &r.stats.encode;
+            (r.mechanism != Mechanism::Baseline).then(|| {
+                vec![
+                    e.exact_fraction().into(),
+                    e.approx_fraction().into(),
+                    e.compression_ratio().into(),
+                ]
+            })
+        },
+    )
 }
 
-/// One bar group of Figure 10: encoded-word fraction split and compression
-/// ratio.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig10Row {
-    /// Benchmark.
-    pub benchmark: Benchmark,
-    /// Mechanism (compression mechanisms only; baseline is omitted as in
-    /// the paper).
-    pub mechanism: Mechanism,
-    /// Fraction of words encoded by exact matching (Figure 10a).
-    pub exact_fraction: f64,
-    /// Fraction of words encoded thanks to approximation (Figure 10a).
-    pub approx_fraction: f64,
-    /// Compression ratio (Figure 10b).
-    pub compression_ratio: f64,
-}
-
-/// Figure 10: encoded-word breakdown (a) and compression ratio (b).
-pub fn fig10(matrix: &BenchmarkMatrix) -> Vec<Fig10Row> {
-    let mut rows = Vec::new();
-    for (b, runs) in &matrix.cells {
-        for r in runs {
-            if r.mechanism == Mechanism::Baseline {
-                continue;
-            }
-            rows.push(Fig10Row {
-                benchmark: *b,
-                mechanism: r.mechanism,
-                exact_fraction: r.stats.encode.exact_fraction(),
-                approx_fraction: r.stats.encode.approx_fraction(),
-                compression_ratio: r.stats.encode.compression_ratio(),
-            });
-        }
-    }
-    rows
-}
-
-/// Renders Figure 10 as a text table.
-pub fn render_fig10(rows: &[Fig10Row]) -> String {
-    let mut out = String::from(
-        "Figure 10: Encoded Word Fraction (exact + approx) and Compression Ratio\n\
-         benchmark      mechanism  exact_frac  approx_frac  total_frac  comp_ratio\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14} {:<9} {:>10.3} {:>12.3} {:>11.3} {:>11.3}\n",
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.exact_fraction,
-            r.approx_fraction,
-            r.exact_fraction + r.approx_fraction,
-            r.compression_ratio,
-        ));
-    }
-    out
-}
-
-/// One bar of Figure 11: injected data flits normalized to baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig11Row {
-    /// Benchmark.
-    pub benchmark: Benchmark,
-    /// Mechanism.
-    pub mechanism: Mechanism,
-    /// Data flits injected, normalized to the uncompressed baseline.
-    pub normalized_flits: f64,
-}
-
-/// Figure 11: reduction in the number of injected data flits.
-pub fn fig11(matrix: &BenchmarkMatrix) -> Vec<Fig11Row> {
-    let mut rows = Vec::new();
-    for (b, runs) in &matrix.cells {
-        for r in runs {
-            rows.push(Fig11Row {
-                benchmark: *b,
-                mechanism: r.mechanism,
-                normalized_flits: r.stats.normalized_data_flits(),
-            });
-        }
-    }
-    rows
-}
-
-/// Renders Figure 11 as a text table.
-pub fn render_fig11(rows: &[Fig11Row]) -> String {
-    let mut out = String::from(
-        "Figure 11: Data Flits Injected (normalized to Baseline)\nbenchmark      mechanism  normalized\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14} {:<9} {:>10.3}\n",
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.normalized_flits
-        ));
-    }
-    out
+/// Figure 11: injected data flits normalized to the uncompressed baseline.
+pub fn fig11(matrix: &BenchmarkMatrix) -> Table {
+    matrix.table(
+        "fig11",
+        "Figure 11: Data Flits Injected (normalized to Baseline)",
+        &[("normalized_data_flits", Kind::Fixed(6))],
+        |_, r| Some(vec![r.stats.normalized_data_flits().into()]),
+    )
 }
 
 /// One latency-vs-injection-rate curve of Figure 12.
 #[derive(Debug, Clone)]
-pub struct Fig12Series {
+struct Fig12Series {
     /// Mechanism.
-    pub mechanism: Mechanism,
+    mechanism: Mechanism,
     /// `(offered flits/node/cycle, avg packet latency)` points; the sweep
     /// stops once the network saturates (latency above the cap).
-    pub points: Vec<(f64, f64)>,
+    points: Vec<(f64, f64)>,
 }
 
 impl Fig12Series {
     /// The saturation throughput: the highest offered rate whose latency
     /// stayed under the cap.
-    pub fn saturation_rate(&self) -> f64 {
+    fn saturation_rate(&self) -> f64 {
         self.points.last().map(|(r, _)| *r).unwrap_or(0.0)
     }
 }
 
-/// Figure 12: throughput under synthetic traffic with benchmark data.
-///
-/// `data_ratio` is 0.25 in the paper (25:75 data-to-control mix);
-/// `latency_cap` ends each mechanism's sweep once saturated.
-pub fn fig12(
+/// Figure 12: throughput under synthetic traffic with benchmark data, in
+/// four panels (blackscholes and streamcluster data, uniform-random and
+/// transpose destinations) swept from 0.05 to 0.70 flits/node/cycle.
+pub fn fig12(config: &SystemConfig, seed: u64) -> Table {
+    let rates: Vec<f64> = (1..=14).map(|i| i as f64 * 0.05).collect();
+    let mut t = Table::new(
+        "fig12",
+        "Figure 12: Packet Latency vs Injection Rate",
+        &[
+            ("panel", Kind::Text),
+            ("mechanism", Kind::Text),
+            ("injection_rate", Kind::Fixed(3)),
+            ("latency", Kind::Fixed(4)),
+        ],
+    );
+    for bench in [Benchmark::Blackscholes, Benchmark::Streamcluster] {
+        for (pattern, pname) in [
+            (DestPattern::UniformRandom, "UR"),
+            (DestPattern::Transpose, "TR"),
+        ] {
+            let panel = format!("{} {pname}", bench.name());
+            let mut saturation = Vec::new();
+            for s in fig12_series(bench, pattern, &rates, config, seed) {
+                for &(rate, lat) in &s.points {
+                    t.push(vec![
+                        panel.as_str().into(),
+                        s.mechanism.name().into(),
+                        rate.into(),
+                        lat.into(),
+                    ]);
+                }
+                saturation.push(format!(
+                    "{} ~{:.2}",
+                    s.mechanism.name(),
+                    s.saturation_rate()
+                ));
+            }
+            t.notes
+                .push(format!("saturation ({panel}): {}", saturation.join(", ")));
+        }
+    }
+    t
+}
+
+/// One Figure 12 panel: a latency curve per mechanism, with the paper's
+/// 25:75 data-to-control mix; each mechanism's sweep ends once its latency
+/// passes the cap.
+fn fig12_series(
     benchmark: Benchmark,
     pattern: DestPattern,
     rates: &[f64],
@@ -328,66 +298,44 @@ pub fn fig12(
         .collect()
 }
 
-/// Renders one Figure 12 panel as a text table.
-pub fn render_fig12(label: &str, series: &[Fig12Series]) -> String {
-    let mut out = format!("Figure 12 ({label}): Packet Latency vs Injection Rate\n");
-    for s in series {
-        out.push_str(&format!("{:<9}", s.mechanism.name()));
-        for (rate, lat) in &s.points {
-            out.push_str(&format!("  {rate:.2}:{lat:.1}"));
-        }
-        out.push_str(&format!("  [saturation ~{:.2}]\n", s.saturation_rate()));
-    }
-    out
-}
-
-/// One group of Figure 13 (error-threshold sensitivity) or Figure 14
-/// (approximable-ratio sensitivity): the exact-compression latency plus the
-/// VAXX latency at each setting.
-#[derive(Debug, Clone)]
-pub struct SensitivityRow {
-    /// Benchmark.
-    pub benchmark: Benchmark,
-    /// `"DI-based"` or `"FP-based"`.
-    pub family: &'static str,
-    /// Latency of the exact compression mechanism (the "Compression" bar).
-    pub compression_latency: f64,
-    /// `(setting, latency)` for each swept value.
-    pub vaxx_latencies: Vec<(u32, f64)>,
-}
-
 /// Figure 13: error-threshold sensitivity (5%, 10%, 20%).
-pub fn fig13(config: &SystemConfig, seed: u64) -> Vec<SensitivityRow> {
-    sensitivity_sweep(
+pub fn fig13(config: &SystemConfig, seed: u64) -> Table {
+    let mut t = sensitivity_sweep(
         config,
         seed,
         &Benchmark::ALL,
         &[5, 10, 20],
         |cfg, setting| cfg.with_threshold(setting),
-    )
+    );
+    t.id = "fig13";
+    t.title = "Figure 13: Error Threshold Sensitivity".into();
+    t
 }
 
 /// Figure 14: approximable-packet-ratio sensitivity (25%, 50%, 75%).
-pub fn fig14(config: &SystemConfig, seed: u64) -> Vec<SensitivityRow> {
-    sensitivity_sweep(
+pub fn fig14(config: &SystemConfig, seed: u64) -> Table {
+    let mut t = sensitivity_sweep(
         config,
         seed,
         &Benchmark::ALL,
         &[25, 50, 75],
         |cfg, setting| cfg.with_approx_ratio(setting as f64 / 100.0),
-    )
+    );
+    t.id = "fig14";
+    t.title = "Figure 14: Approximable Packets Ratio Sensitivity".into();
+    t
 }
 
 /// The generic Figure 13/14 machinery: for each benchmark and codec family,
-/// measure the exact-compression latency plus the VAXX latency at each
-/// setting produced by `apply`.
+/// measure the exact-compression latency (setting `compression`) plus the
+/// VAXX latency at each setting produced by `apply`.
 pub fn sensitivity_sweep(
     config: &SystemConfig,
     seed: u64,
     benchmarks: &[Benchmark],
     settings: &[u32],
     apply: impl Fn(SystemConfig, u32) -> SystemConfig,
-) -> Vec<SensitivityRow> {
+) -> Table {
     const FAMILIES: [(&str, Mechanism, Mechanism); 2] = [
         ("DI-based", Mechanism::DiComp, Mechanism::DiVaxx),
         ("FP-based", Mechanism::FpComp, Mechanism::FpVaxx),
@@ -404,72 +352,39 @@ pub fn sensitivity_sweep(
         }
     }
     let mut results = context().run("sensitivity", jobs).into_iter();
-    let mut rows = Vec::new();
+    let mut t = Table::new(
+        "sensitivity",
+        "Sensitivity sweep",
+        &[
+            ("benchmark", Kind::Text),
+            ("family", Kind::Text),
+            ("setting", Kind::Text),
+            ("latency", Kind::Fixed(4)),
+        ],
+    );
     for &b in benchmarks {
         for (family, _, _) in FAMILIES {
-            let comp_lat = results.next().expect("anchor cell").avg_packet_latency();
-            let vaxx_latencies = settings
-                .iter()
-                .map(|s| (*s, results.next().expect("vaxx cell").avg_packet_latency()))
-                .collect();
-            rows.push(SensitivityRow {
-                benchmark: b,
-                family,
-                compression_latency: comp_lat,
-                vaxx_latencies,
-            });
+            let labels = std::iter::once("compression".to_string())
+                .chain(settings.iter().map(u32::to_string));
+            for (setting, r) in labels.zip(results.by_ref()) {
+                let lat = r.avg_packet_latency();
+                t.push(vec![
+                    b.name().into(),
+                    family.into(),
+                    setting.into(),
+                    lat.into(),
+                ]);
+            }
         }
     }
-    rows
-}
-
-/// Renders Figure 13/14 as a text table.
-pub fn render_sensitivity(title: &str, rows: &[SensitivityRow]) -> String {
-    let mut out = format!("{title}\nbenchmark      family    compression");
-    if let Some(first) = rows.first() {
-        for (s, _) in &first.vaxx_latencies {
-            out.push_str(&format!("  vaxx@{s:<3}"));
-        }
-    }
-    out.push('\n');
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14} {:<9} {:>10.2}",
-            r.benchmark.name(),
-            r.family,
-            r.compression_latency
-        ));
-        for (_, lat) in &r.vaxx_latencies {
-            out.push_str(&format!(" {lat:>8.2}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// One point of the fault-injection resilience sweep: FP-VAXX under an
-/// increasing link bit-flip rate.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultCurvePoint {
-    /// Link bit-flip rate in flips per million traversals.
-    pub flip_ppm: u32,
-    /// Average end-to-end packet latency in cycles.
-    pub avg_latency: f64,
-    /// Data value quality (1 − mean relative word error).
-    pub quality: f64,
-    /// Bit flips the fault injector actually performed.
-    pub bit_flips: u64,
-    /// Delivered words audited by the end-to-end bound checker.
-    pub bound_checked_words: u64,
-    /// Audited words whose error exceeded the configured threshold.
-    pub bound_violations: u64,
+    t
 }
 
 /// The fault-injection resilience sweep: runs `benchmark` under FP-VAXX at
 /// each link bit-flip rate, through the fault-tolerant campaign path, and
-/// reports one curve point per rate that completed plus the typed failures
-/// for cells that did not (watchdog aborts at extreme rates are expected
-/// behaviour, not sweep-ending errors).
+/// reports one row per rate: blank for a cell that did not complete, with
+/// its typed failure as a note (watchdog aborts at extreme rates are
+/// expected behaviour, not sweep-ending errors).
 ///
 /// At rate 0 the fault plan is inert and the cell is bit-identical to a
 /// healthy run; violations must be 0 there, and the violation count is
@@ -479,7 +394,7 @@ pub fn faults_sweep(
     rates_ppm: &[u32],
     config: &SystemConfig,
     seed: u64,
-) -> (Vec<(u32, Option<FaultCurvePoint>)>, Vec<CellFailure>) {
+) -> Table {
     let jobs = rates_ppm
         .iter()
         .map(|&ppm| {
@@ -488,110 +403,31 @@ pub fn faults_sweep(
         })
         .collect();
     let (results, failures, _) = context().run_checked("faults", jobs);
-    let points = rates_ppm
-        .iter()
-        .zip(results)
-        .map(|(&ppm, slot)| {
-            let point = slot.map(|r| FaultCurvePoint {
-                flip_ppm: ppm,
-                avg_latency: r.avg_packet_latency(),
-                quality: r.data_quality(),
-                bit_flips: r.stats.faults.bit_flips,
-                bound_checked_words: r.stats.faults.bound_checked_words,
-                bound_violations: r.stats.faults.bound_violations,
-            });
-            (ppm, point)
-        })
-        .collect();
-    (points, failures)
+    resilience_table(
+        "faults",
+        format!("Fault-injection sweep: {} / FP-VAXX", benchmark.name()),
+        ["flip_ppm", "bit_flips"],
+        |f| f.bit_flips,
+        rates_ppm.iter().copied().zip(results),
+        &failures,
+    )
 }
 
-/// Renders the fault sweep as a text table, failed cells included.
-pub fn render_faults(
-    benchmark: Benchmark,
-    points: &[(u32, Option<FaultCurvePoint>)],
-    failures: &[CellFailure],
-) -> String {
-    let mut out = format!(
-        "Fault-injection sweep: {} / FP-VAXX\nflip_ppm    latency   quality   bit_flips    checked  violations\n",
-        benchmark.name()
-    );
-    for (ppm, point) in points {
-        match point {
-            Some(p) => out.push_str(&format!(
-                "{:>8} {:>10.2} {:>9.4} {:>11} {:>10} {:>11}\n",
-                ppm,
-                p.avg_latency,
-                p.quality,
-                p.bit_flips,
-                p.bound_checked_words,
-                p.bound_violations,
-            )),
-            None => out.push_str(&format!("{ppm:>8}     failed (see below)\n")),
-        }
-    }
-    for f in failures {
-        out.push_str(&format!("failed: {f}\n"));
-    }
-    out
-}
-
-/// CSV form of the fault sweep (completed points only).
-pub fn faults_csv(points: &[(u32, Option<FaultCurvePoint>)]) -> String {
-    let mut out = String::from(
-        "flip_ppm,avg_latency,quality,bit_flips,bound_checked_words,bound_violations\n",
-    );
-    for (ppm, point) in points {
-        if let Some(p) = point {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                ppm,
-                p.avg_latency,
-                p.quality,
-                p.bit_flips,
-                p.bound_checked_words,
-                p.bound_violations,
-            ));
-        } else {
-            out.push_str(&format!("{ppm},,,,,\n"));
-        }
-    }
-    out
-}
-
-/// One point of the lossy-link degradation sweep (`anoc run lossy`):
-/// FP-VAXX under an increasing per-hop word-loss rate, with the loss rate
-/// additionally scaled by each packet's approximation level (LORAX-style:
-/// aggressively approximated traffic rides the cheaper, lossier signaling).
-#[derive(Debug, Clone, Copy)]
-pub struct LossCurvePoint {
-    /// Base per-hop loss rate in erasures per million traversals.
-    pub loss_ppm: u32,
-    /// Average end-to-end packet latency in cycles.
-    pub avg_latency: f64,
-    /// Data value quality (1 − mean relative word error).
-    pub quality: f64,
-    /// Words the lossy links actually erased.
-    pub words_lost: u64,
-    /// Delivered words audited by the end-to-end bound checker.
-    pub bound_checked_words: u64,
-    /// Audited words whose error exceeded the configured threshold.
-    pub bound_violations: u64,
-}
-
-/// The lossy-link degradation sweep: runs `benchmark` under FP-VAXX at each
-/// base loss rate (each nonzero rate also scaled by `approx_scale_ppm` per
-/// approximation-threshold percent), through the fault-tolerant campaign
-/// path. Rate 0 installs an inert plan and is bit-identical to a healthy
-/// run: violations must be 0 there, and the violation count is
-/// non-decreasing in the loss rate.
+/// The lossy-link degradation sweep (`anoc run lossy`): runs `benchmark`
+/// under FP-VAXX at each base per-hop word-loss rate, each nonzero rate also
+/// scaled by `approx_scale_ppm` per approximation-threshold percent
+/// (LORAX-style: aggressively approximated traffic rides the cheaper,
+/// lossier signaling), through the fault-tolerant campaign path. Rate 0
+/// installs an inert plan and is bit-identical to a healthy run:
+/// violations must be 0 there, and the violation count is non-decreasing
+/// in the loss rate.
 pub fn lossy_sweep(
     benchmark: Benchmark,
     rates_ppm: &[u32],
     approx_scale_ppm: u32,
     config: &SystemConfig,
     seed: u64,
-) -> (Vec<(u32, Option<LossCurvePoint>)>, Vec<CellFailure>) {
+) -> Table {
     let jobs = rates_ppm
         .iter()
         .map(|&ppm| {
@@ -605,124 +441,67 @@ pub fn lossy_sweep(
         })
         .collect();
     let (results, failures, _) = context().run_checked("lossy", jobs);
-    let points = rates_ppm
-        .iter()
-        .zip(results)
-        .map(|(&ppm, slot)| {
-            let point = slot.map(|r| LossCurvePoint {
-                loss_ppm: ppm,
-                avg_latency: r.avg_packet_latency(),
-                quality: r.data_quality(),
-                words_lost: r.stats.faults.words_lost,
-                bound_checked_words: r.stats.faults.bound_checked_words,
-                bound_violations: r.stats.faults.bound_violations,
-            });
-            (ppm, point)
-        })
-        .collect();
-    (points, failures)
+    resilience_table(
+        "lossy",
+        format!("Lossy-link sweep: {} / FP-VAXX", benchmark.name()),
+        ["loss_ppm", "words_lost"],
+        |f| f.words_lost,
+        rates_ppm.iter().copied().zip(results),
+        &failures,
+    )
 }
 
-/// Renders the lossy-link sweep as a text table, failed cells included.
-pub fn render_lossy(
-    benchmark: Benchmark,
-    points: &[(u32, Option<LossCurvePoint>)],
+/// The fault and lossy sweeps' table: one row per rate, named by
+/// `[rate column, counter column]`, with `counter` read from the cell's
+/// fault statistics. A failed cell keeps its rate and leaves the rest
+/// blank; each failure becomes a `failed:` note.
+fn resilience_table(
+    id: &'static str,
+    title: String,
+    [rate_col, counter_col]: [&'static str; 2],
+    counter: fn(&FaultStats) -> u64,
+    cells: impl Iterator<Item = (u32, Option<RunResult>)>,
     failures: &[CellFailure],
-) -> String {
-    let mut out = format!(
-        "Lossy-link sweep: {} / FP-VAXX\nloss_ppm    latency   quality  words_lost    checked  violations\n",
-        benchmark.name()
+) -> Table {
+    let mut t = Table::new(
+        id,
+        title,
+        &[
+            (rate_col, Kind::Int),
+            ("avg_latency", Kind::Shortest),
+            ("quality", Kind::Shortest),
+            (counter_col, Kind::Int),
+            ("bound_checked_words", Kind::Int),
+            ("bound_violations", Kind::Int),
+        ],
     );
-    for (ppm, point) in points {
-        match point {
-            Some(p) => out.push_str(&format!(
-                "{:>8} {:>10.2} {:>9.4} {:>11} {:>10} {:>11}\n",
-                ppm,
-                p.avg_latency,
-                p.quality,
-                p.words_lost,
-                p.bound_checked_words,
-                p.bound_violations,
-            )),
-            None => out.push_str(&format!("{ppm:>8}     failed (see below)\n")),
-        }
+    for (ppm, r) in cells {
+        let r = r.as_ref();
+        let faults = r.map(|r| &r.stats.faults);
+        t.push(vec![
+            ppm.into(),
+            r.map(RunResult::avg_packet_latency).into(),
+            r.map(RunResult::data_quality).into(),
+            faults.map(counter).into(),
+            faults.map(|f| f.bound_checked_words).into(),
+            faults.map(|f| f.bound_violations).into(),
+        ]);
     }
-    for f in failures {
-        out.push_str(&format!("failed: {f}\n"));
-    }
-    out
+    t.notes
+        .extend(failures.iter().map(|f| format!("failed: {f}")));
+    t
 }
 
-/// CSV form of the lossy-link sweep (completed points only).
-pub fn lossy_csv(points: &[(u32, Option<LossCurvePoint>)]) -> String {
-    let mut out = String::from(
-        "loss_ppm,avg_latency,quality,words_lost,bound_checked_words,bound_violations\n",
-    );
-    for (ppm, point) in points {
-        if let Some(p) = point {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                ppm,
-                p.avg_latency,
-                p.quality,
-                p.words_lost,
-                p.bound_checked_words,
-                p.bound_violations,
-            ));
-        } else {
-            out.push_str(&format!("{ppm},,,,,\n"));
-        }
-    }
-    out
+/// Whether a realized application output error lands within a budget given
+/// in percent.
+fn within_budget(realized_error: f64, budget_percent: u32) -> bool {
+    realized_error <= f64::from(budget_percent) / 100.0 + 1e-9
 }
 
-/// One row of the QoS campaign (`anoc run qos`): one application kernel at
-/// one output-error budget, comparing the runtime per-flow control loop
-/// against the best *worst-case-safe* static threshold.
-#[derive(Debug, Clone)]
-pub struct QosStudyRow {
-    /// Application kernel name (fig16/fig17 mini-kernels).
-    pub kernel: &'static str,
-    /// The benchmark whose traffic profile drives the network cell.
-    pub benchmark: Benchmark,
-    /// Application output-error budget in percent.
-    pub budget_percent: u32,
-    /// Threshold the app-level AIMD controller converged to.
-    pub converged_percent: u32,
-    /// Realized kernel output error at the converged threshold — the
-    /// quality-within-budget check: must be ≤ `budget_percent / 100`.
-    pub realized_error: f64,
-    /// Largest static threshold whose *worst-case* output error (every
-    /// approximable word off by the full threshold) still meets the budget —
-    /// what an offline configuration must pick to guarantee the budget.
-    pub static_percent: u32,
-    /// Realized kernel output error at that static threshold.
-    pub static_error: f64,
-    /// Network compression ratio delivered by the per-flow QoS run.
-    pub qos_compression: f64,
-    /// Network compression ratio of the static-threshold run.
-    pub static_compression: f64,
-    /// Average packet latency of the QoS run (cycles).
-    pub qos_latency: f64,
-    /// Average packet latency of the static run (cycles).
-    pub static_latency: f64,
-    /// Delivered data quality of the QoS run's measurement window.
-    pub qos_quality: f64,
-    /// End-to-end bound violations in the QoS run (must be 0: no flow may
-    /// approximate past the spec ceiling).
-    pub qos_violations: u64,
-}
-
-impl QosStudyRow {
-    /// Whether the realized output error landed within the budget.
-    pub fn within_budget(&self) -> bool {
-        self.realized_error <= f64::from(self.budget_percent) / 100.0 + 1e-9
-    }
-
-    /// Whether the QoS run delivered at least the static run's compression.
-    pub fn beats_static(&self) -> bool {
-        self.qos_compression >= self.static_compression
-    }
+/// Whether the per-flow QoS run delivered at least the static run's
+/// compression ratio.
+fn beats_static(qos_compression: f64, static_compression: f64) -> bool {
+    qos_compression >= static_compression
 }
 
 /// The QoS campaign: for every fig16/17 mini-kernel (paired with its
@@ -742,7 +521,7 @@ impl QosStudyRow {
 /// [`QualityController`]: anoc_core::control::QualityController
 /// [`QosSpec::paper`]: anoc_core::control::QosSpec::paper
 /// [`AdversarialTransport`]: anoc_apps::transport::AdversarialTransport
-pub fn qos_study(config: &SystemConfig, seed: u64, budgets: &[u32]) -> Vec<QosStudyRow> {
+pub fn qos_study(config: &SystemConfig, seed: u64, budgets: &[u32]) -> Table {
     use anoc_apps::transport::{AdversarialTransport, ApproxTransport, PreciseTransport};
     use anoc_core::control::{QosSpec, QualityController};
     use anoc_core::threshold::ErrorThreshold;
@@ -839,211 +618,104 @@ pub fn qos_study(config: &SystemConfig, seed: u64, budgets: &[u32]) -> Vec<QosSt
         }
     }
     let mut results = context().run("qos", jobs).into_iter();
-    let mut rows = Vec::new();
-    let mut idx = 0usize;
+    let mut t = Table::new(
+        "qos",
+        "Per-flow QoS campaign: runtime control loop vs worst-case-safe static threshold",
+        &[
+            ("kernel", Kind::Text),
+            ("benchmark", Kind::Text),
+            ("budget_percent", Kind::Int),
+            ("converged_percent", Kind::Int),
+            ("realized_error", Kind::Fixed(6)),
+            ("static_percent", Kind::Int),
+            ("static_error", Kind::Fixed(6)),
+            ("qos_compression", Kind::Fixed(6)),
+            ("static_compression", Kind::Fixed(6)),
+            ("qos_latency", Kind::Fixed(4)),
+            ("static_latency", Kind::Fixed(4)),
+            ("qos_quality", Kind::Fixed(6)),
+            ("qos_violations", Kind::Int),
+            ("within_budget", Kind::Bool),
+            ("beats_static", Kind::Bool),
+        ],
+    );
+    // Per budget: rows, rows within budget, rows where QoS beats static.
+    let mut tally = vec![(0, 0, 0); budgets.len()];
+    let mut app = app.iter();
     for (kernel, benchmark) in kernels.iter().zip(Benchmark::ALL) {
-        for &budget in budgets {
-            let a = &app[idx];
-            idx += 1;
+        for (&budget, (n, within, beats)) in budgets.iter().zip(&mut tally) {
+            let a = app.next().expect("one app side per row");
             let qos_run = results.next().expect("qos cell");
             let static_run = results.next().expect("static cell");
-            rows.push(QosStudyRow {
-                kernel: kernel.name(),
-                benchmark,
-                budget_percent: budget,
-                converged_percent: a.converged_percent,
-                realized_error: a.realized_error,
-                static_percent: a.static_percent,
-                static_error: a.static_error,
-                qos_compression: qos_run.stats.encode.compression_ratio(),
-                static_compression: static_run.stats.encode.compression_ratio(),
-                qos_latency: qos_run.avg_packet_latency(),
-                static_latency: static_run.avg_packet_latency(),
-                qos_quality: qos_run.data_quality(),
-                qos_violations: qos_run.stats.faults.bound_violations,
-            });
+            let qos_compression = qos_run.stats.encode.compression_ratio();
+            let static_compression = static_run.stats.encode.compression_ratio();
+            let ok = within_budget(a.realized_error, budget);
+            let win = beats_static(qos_compression, static_compression);
+            *n += 1;
+            *within += usize::from(ok);
+            *beats += usize::from(win);
+            t.push(vec![
+                kernel.name().into(),
+                benchmark.name().into(),
+                budget.into(),
+                a.converged_percent.into(),
+                a.realized_error.into(),
+                a.static_percent.into(),
+                a.static_error.into(),
+                qos_compression.into(),
+                static_compression.into(),
+                qos_run.avg_packet_latency().into(),
+                static_run.avg_packet_latency().into(),
+                qos_run.data_quality().into(),
+                qos_run.stats.faults.bound_violations.into(),
+                ok.into(),
+                win.into(),
+            ]);
         }
     }
-    rows
-}
-
-/// Renders the QoS campaign as a text table with a per-budget summary of
-/// budget compliance and the QoS-vs-static compression score.
-pub fn render_qos(rows: &[QosStudyRow]) -> String {
-    let mut out = String::from(
-        "Per-flow QoS campaign: runtime control loop vs worst-case-safe static threshold\n\
-         kernel          budget%  conv%  realized_err  static%  static_err  qos_comp  static_comp  qos_lat  quality  in_budget\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<15} {:>7} {:>6} {:>13.4} {:>8} {:>11.4} {:>9.3} {:>12.3} {:>8.2} {:>8.4} {:>10}\n",
-            r.kernel,
-            r.budget_percent,
-            r.converged_percent,
-            r.realized_error,
-            r.static_percent,
-            r.static_error,
-            r.qos_compression,
-            r.static_compression,
-            r.qos_latency,
-            r.qos_quality,
-            if r.within_budget() { "yes" } else { "NO" },
+    for (b, (n, within, beats)) in budgets.iter().zip(tally) {
+        t.notes.push(format!(
+            "summary: at {b}% budget, {within}/{n} apps within budget; QoS compression >= static on {beats}/{n}"
         ));
     }
-    let mut budgets: Vec<u32> = rows.iter().map(|r| r.budget_percent).collect();
-    budgets.sort_unstable();
-    budgets.dedup();
-    for b in budgets {
-        let of_budget: Vec<&QosStudyRow> = rows.iter().filter(|r| r.budget_percent == b).collect();
-        let within = of_budget.iter().filter(|r| r.within_budget()).count();
-        let beats = of_budget.iter().filter(|r| r.beats_static()).count();
-        out.push_str(&format!(
-            "summary: at {b}% budget, {within}/{} apps within budget; QoS compression >= static on {beats}/{}\n",
-            of_budget.len(),
-            of_budget.len(),
-        ));
-    }
-    out
+    t
 }
 
-/// Serialises the QoS campaign as CSV.
-pub fn qos_csv(rows: &[QosStudyRow]) -> String {
-    let mut out = String::from(
-        "kernel,benchmark,budget_percent,converged_percent,realized_error,static_percent,static_error,qos_compression,static_compression,qos_latency,static_latency,qos_quality,qos_violations,within_budget,beats_static\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{:.6},{},{:.6},{:.6},{:.6},{:.4},{:.4},{:.6},{},{},{}\n",
-            r.kernel,
-            r.benchmark.name(),
-            r.budget_percent,
-            r.converged_percent,
-            r.realized_error,
-            r.static_percent,
-            r.static_error,
-            r.qos_compression,
-            r.static_compression,
-            r.qos_latency,
-            r.static_latency,
-            r.qos_quality,
-            r.qos_violations,
-            r.within_budget(),
-            r.beats_static(),
-        ));
-    }
-    out
-}
-
-/// Serialises the QoS campaign as JSON (schema documented in
-/// EXPERIMENTS.md): `{"study":"qos","rows":[{...}, ...]}`.
-pub fn qos_json(rows: &[QosStudyRow]) -> String {
-    let mut out = String::from("{\"study\":\"qos\",\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"kernel\":\"{}\",\"benchmark\":\"{}\",\"budget_percent\":{},\
-             \"converged_percent\":{},\"realized_error\":{:.6},\
-             \"static_percent\":{},\"static_error\":{:.6},\
-             \"qos_compression\":{:.6},\"static_compression\":{:.6},\
-             \"qos_latency\":{:.4},\"static_latency\":{:.4},\
-             \"qos_quality\":{:.6},\"qos_violations\":{},\
-             \"within_budget\":{},\"beats_static\":{}}}",
-            r.kernel,
-            r.benchmark.name(),
-            r.budget_percent,
-            r.converged_percent,
-            r.realized_error,
-            r.static_percent,
-            r.static_error,
-            r.qos_compression,
-            r.static_compression,
-            r.qos_latency,
-            r.static_latency,
-            r.qos_quality,
-            r.qos_violations,
-            r.within_budget(),
-            r.beats_static(),
-        ));
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// One bar of Figure 15: dynamic power normalized to baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig15Row {
-    /// Benchmark.
-    pub benchmark: Benchmark,
-    /// Mechanism.
-    pub mechanism: Mechanism,
-    /// Dynamic power normalized to the baseline run of the same benchmark.
-    pub normalized_power: f64,
-}
-
-/// Figure 15: dynamic power consumption normalized to baseline.
-pub fn fig15(matrix: &BenchmarkMatrix) -> Vec<Fig15Row> {
+/// Figure 15: dynamic power normalized to each benchmark's first
+/// (baseline) mechanism, plus the §5.5 encoder area as a note.
+pub fn fig15(matrix: &BenchmarkMatrix) -> Table {
     let model = EnergyModel::default();
-    let mut rows = Vec::new();
-    for (b, runs) in &matrix.cells {
-        let base = model.dynamic_power(&runs[0].activity).max(1e-12);
-        for r in runs {
-            rows.push(Fig15Row {
-                benchmark: *b,
-                mechanism: r.mechanism,
-                normalized_power: model.dynamic_power(&r.activity) / base,
-            });
-        }
-    }
-    rows
-}
-
-/// Renders Figure 15 as a text table.
-pub fn render_fig15(rows: &[Fig15Row]) -> String {
-    let mut out = String::from(
-        "Figure 15: Dynamic Power (normalized to Baseline)\nbenchmark      mechanism  normalized\n",
+    let mut t = matrix.table(
+        "fig15",
+        "Figure 15: Dynamic Power (normalized to Baseline)",
+        &[("normalized_dynamic_power", Kind::Fixed(6))],
+        |runs, r| {
+            let base = model.dynamic_power(&runs[0].activity).max(1e-12);
+            Some(vec![(model.dynamic_power(&r.activity) / base).into()])
+        },
     );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14} {:<9} {:>10.3}\n",
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.normalized_power
-        ));
-    }
-    out
-}
-
-/// One point of Figure 16: application output error and normalized
-/// performance at an error budget.
-#[derive(Debug, Clone)]
-pub struct Fig16Row {
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// Data error budget in percent (0, 10, 20).
-    pub budget_percent: u32,
-    /// Output error with the real FP-VAXX value path (typically far below
-    /// the budget because matches land in close proximity).
-    pub output_error: f64,
-    /// Output error when the data channel spends the *entire* budget on
-    /// every approximable word (the pessimistic bound; the paper's measured
-    /// errors lie between `output_error` and this).
-    pub worst_case_error: f64,
-    /// Runtime performance normalized to the 0% budget.
-    pub normalized_performance: f64,
+    let area = AreaModel::default();
+    t.notes.push(format!(
+        "Section 5.5 area: DI-VAXX {:.4} mm^2, FP-VAXX {:.4} mm^2",
+        area.di_vaxx_encoder_mm2(),
+        area.fp_vaxx_encoder_mm2()
+    ));
+    t
 }
 
 /// Figure 16: application output accuracy and normalized performance for
 /// data error budgets of 0/10/20%.
 ///
-/// Output error comes from running the real kernels through an FP-VAXX
-/// value path at each budget. Performance comes from the NoC: the measured
-/// latency improvement of FP-VAXX at each budget over the 0% (exact
-/// compression) case, scaled by the benchmark's sharing degree — the §5.4
-/// observation that "higher degree of sharing leads to ... improving the
-/// efficacy of our mechanism".
-pub fn fig16(config: &SystemConfig, seed: u64) -> Vec<Fig16Row> {
+/// `output_error` comes from running the real kernels through an FP-VAXX
+/// value path at each budget (typically far below the budget because
+/// matches land in close proximity); `worst_case_error` spends the *entire*
+/// budget on every approximable word (the pessimistic bound; the paper's
+/// measured errors lie between the two). Performance comes from the NoC:
+/// the measured latency improvement of FP-VAXX at each budget over the 0%
+/// (exact compression) case, scaled by the benchmark's sharing degree — the
+/// §5.4 observation that "higher degree of sharing leads to ... improving
+/// the efficacy of our mechanism".
+pub fn fig16(config: &SystemConfig, seed: u64) -> Table {
     use anoc_apps::transport::{ApproxTransport, PreciseTransport};
     use anoc_core::threshold::ErrorThreshold;
     let budgets = [0u32, 10, 20];
@@ -1063,7 +735,17 @@ pub fn fig16(config: &SystemConfig, seed: u64) -> Vec<Fig16Row> {
         .run("fig16", jobs)
         .into_iter()
         .map(|r| r.avg_packet_latency());
-    let mut rows = Vec::new();
+    let mut t = Table::new(
+        "fig16",
+        "Figure 16: Application Output Accuracy and Normalized Performance",
+        &[
+            ("benchmark", Kind::Text),
+            ("budget_percent", Kind::Int),
+            ("output_error", Kind::Fixed(6)),
+            ("worst_case_error", Kind::Fixed(6)),
+            ("normalized_performance", Kind::Fixed(6)),
+        ],
+    );
     for (kernel, benchmark) in kernels.iter().zip(Benchmark::ALL) {
         let precise = kernel.run(&mut PreciseTransport);
         let sharing = benchmark.profile().sharing;
@@ -1087,36 +769,16 @@ pub fn fig16(config: &SystemConfig, seed: u64) -> Vec<Fig16Row> {
             // how communication-bound (sharing-heavy) the benchmark is.
             let latency_gain = ((lat0 - lat) / lat0).max(0.0);
             let normalized_performance = 1.0 + sharing * latency_gain;
-            rows.push(Fig16Row {
-                benchmark: kernel.name(),
-                budget_percent: budget,
-                output_error: error,
-                worst_case_error: worst,
-                normalized_performance,
-            });
+            t.push(vec![
+                kernel.name().into(),
+                budget.into(),
+                error.into(),
+                worst.into(),
+                normalized_performance.into(),
+            ]);
         }
     }
-    rows
-}
-
-/// Renders Figure 16 as a text table.
-pub fn render_fig16(rows: &[Fig16Row]) -> String {
-    let mut out = String::from(
-        "Figure 16: Application Output Accuracy and Normalized Performance\n\
-         benchmark      budget%  error(FP-VAXX)  error(worst-case)  accuracy%  norm_perf\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14} {:>7} {:>15.4} {:>18.4} {:>10.2} {:>10.3}\n",
-            r.benchmark,
-            r.budget_percent,
-            r.output_error,
-            r.worst_case_error,
-            (1.0 - r.worst_case_error) * 100.0,
-            r.normalized_performance
-        ));
-    }
-    out
+    t
 }
 
 /// The Figure 17 artefacts: precise and approximate bodytrack outputs.
@@ -1153,6 +815,29 @@ pub fn fig17(seed: u64) -> Fig17Result {
     }
 }
 
+impl Fig17Result {
+    /// The Figure 17 table: the vector difference and where the two
+    /// frames were written.
+    pub fn table(&self, precise_path: &str, approx_path: &str) -> Table {
+        let mut t = Table::new(
+            "fig17",
+            "Figure 17: Bodytrack Precise vs Approximate Output (10% threshold)",
+            &[
+                ("vector_difference_percent", Kind::Fixed(4)),
+                ("precise_pgm", Kind::Text),
+                ("approx_pgm", Kind::Text),
+            ],
+        );
+        t.push(vec![
+            (self.vector_difference * 100.0).into(),
+            precise_path.into(),
+            approx_path.into(),
+        ]);
+        t.notes.push("paper: 2.4% vector difference".into());
+        t
+    }
+}
+
 /// Extension study (beyond the paper's five mechanisms): the VAXX engine
 /// plugged into a third compression family — base-delta (BD-COMP/BD-VAXX,
 /// after the Zhan et al. mechanism cited in §6) — plus Jin et al.'s
@@ -1176,55 +861,43 @@ pub fn extension_study(benchmark: Benchmark, config: &SystemConfig, seed: u64) -
     context().run("extensions", jobs)
 }
 
-/// Renders the extension study as a text table.
-pub fn render_extension(benchmark: Benchmark, results: &[RunResult]) -> String {
-    let mut out = format!(
-        "Extension study ({benchmark}): VAXX plugged into three compression families\n\
-         mechanism     latency  norm_flits  comp_ratio  approx_frac  quality   checked  violations\n"
+/// The `extensions` target: the extension study on blackscholes, ssca2
+/// and x264 as one table. `drained` is false for a run that outlived its
+/// drain budget, whose delivery statistics are a lower bound, not final.
+pub fn extensions(config: &SystemConfig, seed: u64) -> Table {
+    let mut t = Table::new(
+        "extensions",
+        "Extension study: VAXX plugged into three compression families",
+        &[
+            ("benchmark", Kind::Text),
+            ("mechanism", Kind::Text),
+            ("latency", Kind::Fixed(2)),
+            ("norm_flits", Kind::Fixed(3)),
+            ("comp_ratio", Kind::Fixed(3)),
+            ("approx_frac", Kind::Fixed(3)),
+            ("quality", Kind::Fixed(4)),
+            ("checked", Kind::Int),
+            ("violations", Kind::Int),
+            ("drained", Kind::Bool),
+        ],
     );
-    for r in results {
-        out.push_str(&format!(
-            "{:<13} {:>8.2} {:>11.3} {:>11.3} {:>12.3} {:>8.4} {:>9} {:>11}{}\n",
-            r.mechanism.name(),
-            r.avg_packet_latency(),
-            r.stats.normalized_data_flits(),
-            r.stats.encode.compression_ratio(),
-            r.stats.encode.approx_fraction(),
-            r.data_quality(),
-            r.stats.faults.bound_checked_words,
-            r.stats.faults.bound_violations,
-            // A run that outlived its drain budget reports lower-bound
-            // delivery stats, not final ones — say so on the cell's line.
-            if r.drained { "" } else { "  [undrained]" },
-        ));
+    for b in [Benchmark::Blackscholes, Benchmark::Ssca2, Benchmark::X264] {
+        for r in extension_study(b, config, seed) {
+            t.push(vec![
+                b.name().into(),
+                r.mechanism.name().into(),
+                r.avg_packet_latency().into(),
+                r.stats.normalized_data_flits().into(),
+                r.stats.encode.compression_ratio().into(),
+                r.stats.encode.approx_fraction().into(),
+                r.data_quality().into(),
+                r.stats.faults.bound_checked_words.into(),
+                r.stats.faults.bound_violations.into(),
+                r.drained.into(),
+            ]);
+        }
     }
-    out
-}
-
-/// One cell of the LZ-VAXX study (`anoc run lz`): one mechanism at one
-/// error threshold on one benchmark, with the end-to-end bound auditor armed.
-#[derive(Debug, Clone, Copy)]
-pub struct LzStudyRow {
-    /// Benchmark.
-    pub benchmark: Benchmark,
-    /// Error threshold percentage of this sweep point.
-    pub threshold_percent: u32,
-    /// Mechanism (DI-VAXX, FP-VAXX or LZ-VAXX).
-    pub mechanism: Mechanism,
-    /// Compression ratio (input bits / output bits).
-    pub compression_ratio: f64,
-    /// The encoder's pipeline latency in cycles (LZ-VAXX pays one extra
-    /// cycle for cross-word match extension).
-    pub encode_latency_cycles: u64,
-    /// Average end-to-end packet latency in cycles.
-    pub avg_packet_latency: f64,
-    /// Data value quality (1 − mean relative word error).
-    pub quality: f64,
-    /// Delivered words audited by the end-to-end bound checker.
-    pub bound_checked_words: u64,
-    /// Audited words whose error exceeded the threshold (must be 0 in a
-    /// fault-free run for every enumerated mechanism).
-    pub bound_violations: u64,
+    t
 }
 
 /// The LZ-VAXX study: sweeps `thresholds` × `benchmarks` × the three VAXX
@@ -1236,7 +909,7 @@ pub fn lz_study(
     seed: u64,
     thresholds: &[u32],
     benchmarks: &[Benchmark],
-) -> Vec<LzStudyRow> {
+) -> Table {
     const MECHANISMS: [Mechanism; 3] = [Mechanism::DiVaxx, Mechanism::FpVaxx, Mechanism::LzVaxx];
     let mut jobs = Vec::new();
     for &t in thresholds {
@@ -1248,246 +921,95 @@ pub fn lz_study(
         }
     }
     let mut results = context().run("lz", jobs).into_iter();
-    let mut rows = Vec::new();
-    for &t in thresholds {
-        let threshold = config.clone().with_threshold(t).threshold();
+    let mut t = Table::new(
+        "lz",
+        "LZ-VAXX study: streaming approximate-LZ vs DI-VAXX / FP-VAXX",
+        &[
+            ("threshold_percent", Kind::Int),
+            ("benchmark", Kind::Text),
+            ("mechanism", Kind::Text),
+            ("compression_ratio", Kind::Fixed(6)),
+            ("encode_latency_cycles", Kind::Int),
+            ("avg_packet_latency", Kind::Fixed(4)),
+            ("quality", Kind::Fixed(6)),
+            ("bound_checked_words", Kind::Int),
+            ("bound_violations", Kind::Int),
+        ],
+    );
+    for &t_percent in thresholds {
+        let threshold = config.clone().with_threshold(t_percent).threshold();
+        let mut wins = 0;
         for &b in benchmarks {
-            for m in MECHANISMS {
+            let mut ratios = [0.0; 3];
+            for (m, ratio) in MECHANISMS.into_iter().zip(&mut ratios) {
                 let r = results.next().expect("one result per cell");
-                rows.push(LzStudyRow {
-                    benchmark: b,
-                    threshold_percent: t,
-                    mechanism: m,
-                    compression_ratio: r.stats.encode.compression_ratio(),
-                    encode_latency_cycles: m.codecs(1, threshold)[0].encoder.compression_latency(),
-                    avg_packet_latency: r.avg_packet_latency(),
-                    quality: r.data_quality(),
-                    bound_checked_words: r.stats.faults.bound_checked_words,
-                    bound_violations: r.stats.faults.bound_violations,
-                });
+                *ratio = r.stats.encode.compression_ratio();
+                t.push(vec![
+                    t_percent.into(),
+                    b.name().into(),
+                    m.name().into(),
+                    (*ratio).into(),
+                    m.codecs(1, threshold)[0]
+                        .encoder
+                        .compression_latency()
+                        .into(),
+                    r.avg_packet_latency().into(),
+                    r.data_quality().into(),
+                    r.stats.faults.bound_checked_words.into(),
+                    r.stats.faults.bound_violations.into(),
+                ]);
             }
+            // MECHANISMS is [DI-VAXX, FP-VAXX, LZ-VAXX].
+            wins += usize::from(ratios[2] >= ratios[0]);
         }
+        t.notes.push(format!(
+            "summary: at {t_percent}% threshold LZ-VAXX >= DI-VAXX compression on {wins}/{} apps",
+            benchmarks.len()
+        ));
     }
-    rows
+    t
 }
 
-/// Renders the LZ-VAXX study as a text table, with a per-threshold summary
-/// of how many apps LZ-VAXX compresses at least as well as DI-VAXX on.
-pub fn render_lz(rows: &[LzStudyRow]) -> String {
-    let mut out = String::from(
-        "LZ-VAXX study: streaming approximate-LZ vs DI-VAXX / FP-VAXX\n\
-         threshold%  benchmark      mechanism  comp_ratio  enc_lat  latency  quality  checked  violations\n",
+/// Table 1: the simulated system's configuration.
+pub fn table1(config: &SystemConfig) -> Table {
+    let mut t = Table::new(
+        "table1",
+        "Table 1: APPROX-NoC Simulation Configuration",
+        &[("parameter", Kind::Text), ("value", Kind::Text)],
     );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>9} {:<15} {:<9} {:>11.3} {:>8} {:>8.2} {:>8.4} {:>8} {:>11}\n",
-            r.threshold_percent,
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.compression_ratio,
-            r.encode_latency_cycles,
-            r.avg_packet_latency,
-            r.quality,
-            r.bound_checked_words,
-            r.bound_violations,
-        ));
+    for (k, v) in config.table1_rows() {
+        t.push(vec![k.into(), v.into()]);
     }
-    let mut thresholds: Vec<u32> = rows.iter().map(|r| r.threshold_percent).collect();
-    thresholds.dedup();
-    for t in thresholds {
-        let di: Vec<&LzStudyRow> = rows
-            .iter()
-            .filter(|r| r.threshold_percent == t && r.mechanism == Mechanism::DiVaxx)
-            .collect();
-        let wins = rows
-            .iter()
-            .filter(|r| r.threshold_percent == t && r.mechanism == Mechanism::LzVaxx)
-            .filter(|lz| {
-                di.iter().any(|d| {
-                    d.benchmark == lz.benchmark && lz.compression_ratio >= d.compression_ratio
-                })
-            })
-            .count();
-        out.push_str(&format!(
-            "summary: at {t}% threshold LZ-VAXX >= DI-VAXX compression on {wins}/{} apps\n",
-            di.len()
-        ));
-    }
-    out
-}
-
-/// Serialises the LZ-VAXX study as CSV.
-pub fn lz_csv(rows: &[LzStudyRow]) -> String {
-    let mut out = String::from(
-        "threshold_percent,benchmark,mechanism,compression_ratio,encode_latency_cycles,avg_packet_latency,quality,bound_checked_words,bound_violations\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.6},{},{:.4},{:.6},{},{}\n",
-            r.threshold_percent,
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.compression_ratio,
-            r.encode_latency_cycles,
-            r.avg_packet_latency,
-            r.quality,
-            r.bound_checked_words,
-            r.bound_violations,
-        ));
-    }
-    out
-}
-
-/// Serialises the LZ-VAXX study as JSON (schema documented in
-/// EXPERIMENTS.md): `{"study":"lz","rows":[{...}, ...]}`.
-pub fn lz_json(rows: &[LzStudyRow]) -> String {
-    let mut out = String::from("{\"study\":\"lz\",\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"threshold_percent\":{},\"benchmark\":\"{}\",\"mechanism\":\"{}\",\
-             \"compression_ratio\":{:.6},\"encode_latency_cycles\":{},\
-             \"avg_packet_latency\":{:.4},\"quality\":{:.6},\
-             \"bound_checked_words\":{},\"bound_violations\":{}}}",
-            r.threshold_percent,
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.compression_ratio,
-            r.encode_latency_cycles,
-            r.avg_packet_latency,
-            r.quality,
-            r.bound_checked_words,
-            r.bound_violations,
-        ));
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Serialises Figure 9 rows as CSV.
-pub fn fig9_csv(rows: &[Fig9Row]) -> String {
-    let mut out = String::from("benchmark,mechanism,queue_lat,net_lat,decode_lat,total,quality\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.4},{:.4},{:.4},{:.4},{:.6}\n",
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.queue_lat,
-            r.net_lat,
-            r.decode_lat,
-            r.total(),
-            r.quality
-        ));
-    }
-    out
-}
-
-/// Serialises Figure 10 rows as CSV.
-pub fn fig10_csv(rows: &[Fig10Row]) -> String {
-    let mut out =
-        String::from("benchmark,mechanism,exact_fraction,approx_fraction,compression_ratio\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.6},{:.6},{:.6}\n",
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.exact_fraction,
-            r.approx_fraction,
-            r.compression_ratio
-        ));
-    }
-    out
-}
-
-/// Serialises Figure 11 rows as CSV.
-pub fn fig11_csv(rows: &[Fig11Row]) -> String {
-    let mut out = String::from("benchmark,mechanism,normalized_data_flits\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.6}\n",
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.normalized_flits
-        ));
-    }
-    out
-}
-
-/// Serialises Figure 12 series as CSV (long format).
-pub fn fig12_csv(label: &str, series: &[Fig12Series]) -> String {
-    let mut out = String::from("panel,mechanism,injection_rate,latency\n");
-    for s in series {
-        for (rate, lat) in &s.points {
-            out.push_str(&format!(
-                "{label},{},{rate:.3},{lat:.4}\n",
-                s.mechanism.name()
-            ));
-        }
-    }
-    out
-}
-
-/// Serialises sensitivity (Figure 13/14) rows as CSV.
-pub fn sensitivity_csv(rows: &[SensitivityRow]) -> String {
-    let mut out = String::from("benchmark,family,setting,latency\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},compression,{:.4}\n",
-            r.benchmark.name(),
-            r.family,
-            r.compression_latency
-        ));
-        for (setting, lat) in &r.vaxx_latencies {
-            out.push_str(&format!(
-                "{},{},{setting},{lat:.4}\n",
-                r.benchmark.name(),
-                r.family
-            ));
-        }
-    }
-    out
-}
-
-/// Serialises Figure 15 rows as CSV.
-pub fn fig15_csv(rows: &[Fig15Row]) -> String {
-    let mut out = String::from("benchmark,mechanism,normalized_dynamic_power\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.6}\n",
-            r.benchmark.name(),
-            r.mechanism.name(),
-            r.normalized_power
-        ));
-    }
-    out
-}
-
-/// Serialises Figure 16 rows as CSV.
-pub fn fig16_csv(rows: &[Fig16Row]) -> String {
-    let mut out = String::from(
-        "benchmark,budget_percent,output_error,worst_case_error,normalized_performance\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.6},{:.6},{:.6}\n",
-            r.benchmark,
-            r.budget_percent,
-            r.output_error,
-            r.worst_case_error,
-            r.normalized_performance
-        ));
-    }
-    out
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Format;
+    use anoc_core::codec::{CodecActivity, EncodeStats};
+    use anoc_core::metrics::QualityAccumulator;
 
     fn tiny() -> SystemConfig {
         SystemConfig::paper().with_sim_cycles(2_000)
+    }
+
+    /// One column of `t`, read back from its CSV form.
+    fn column(t: &Table, name: &str) -> Vec<String> {
+        let csv = t.render(Format::Csv);
+        let mut lines = csv.lines();
+        let header = lines.next().expect("header line");
+        let idx = header.split(',').position(|c| c == name).expect(name);
+        lines
+            .map(|l| l.split(',').nth(idx).expect("cell").to_string())
+            .collect()
+    }
+
+    fn numbers(t: &Table, name: &str) -> Vec<f64> {
+        column(t, name)
+            .iter()
+            .map(|s| s.parse().expect("number"))
+            .collect()
     }
 
     #[test]
@@ -1497,35 +1019,34 @@ mod tests {
         assert_eq!(matrix.cells.len(), 8);
 
         let f9 = fig9(&matrix);
-        assert_eq!(f9.len(), 40);
-        assert!(f9.iter().all(|r| r.total() > 0.0));
-        assert!(render_fig9(&f9).contains("ssca2"));
+        let totals = numbers(&f9, "total");
+        assert_eq!(totals.len(), 40);
+        assert!(totals.iter().all(|t| *t > 0.0));
+        assert!(f9.render(Format::Text).contains("ssca2"));
 
         let f10 = fig10(&matrix);
-        assert_eq!(f10.len(), 32, "baseline excluded");
-        assert!(f10.iter().all(|r| r.compression_ratio >= 0.9));
-        assert!(render_fig10(&f10).contains("FP-VAXX"));
+        let ratios = numbers(&f10, "compression_ratio");
+        assert_eq!(ratios.len(), 32, "baseline excluded");
+        assert!(ratios.iter().all(|r| *r >= 0.9));
+        assert!(f10.render(Format::Text).contains("FP-VAXX"));
 
-        let f11 = fig11(&matrix);
-        let base_rows: Vec<_> = f11
-            .iter()
-            .filter(|r| r.mechanism == Mechanism::Baseline)
-            .collect();
-        assert!(base_rows
-            .iter()
-            .all(|r| (r.normalized_flits - 1.0).abs() < 1e-9));
-        assert!(render_fig11(&f11).contains("normalized"));
-
-        let f15 = fig15(&matrix);
-        assert_eq!(f15.len(), 40);
-        let base_power: Vec<_> = f15
-            .iter()
-            .filter(|r| r.mechanism == Mechanism::Baseline)
-            .collect();
-        assert!(base_power
-            .iter()
-            .all(|r| (r.normalized_power - 1.0).abs() < 1e-9));
-        assert!(render_fig15(&f15).contains("Dynamic Power"));
+        // Baseline rows are the normalization anchor of figures 11 and 15.
+        for (t, name) in [
+            (fig11(&matrix), "normalized_data_flits"),
+            (fig15(&matrix), "normalized_dynamic_power"),
+        ] {
+            let mechs = column(&t, "mechanism");
+            let values = numbers(&t, name);
+            assert_eq!(values.len(), 40);
+            for (m, v) in mechs.iter().zip(values) {
+                if m == "Baseline" {
+                    assert!((v - 1.0).abs() < 1e-9, "{name}: {v}");
+                }
+            }
+        }
+        assert!(fig15(&matrix)
+            .render(Format::Text)
+            .contains("Section 5.5 area"));
 
         // The headline relationship: VAXX compresses at least as well as the
         // exact version on the data-intensive benchmark.
@@ -1548,13 +1069,215 @@ mod tests {
                 assert_eq!(r.stats.faults.bound_violations, 0, "{b}/{m}");
             }
         }
-        assert_eq!(fig9(&matrix).len(), 24);
+        assert_eq!(column(&fig9(&matrix), "mechanism").len(), 24);
+    }
+
+    /// A synthetic run whose every figure value is a simple function of
+    /// `k`, so figure tables can be pinned without simulating.
+    fn hand_run(mechanism: Mechanism, k: u64) -> RunResult {
+        let mut r = RunResult::failed_sentinel();
+        r.mechanism = mechanism;
+        r.nodes = 32;
+        r.drained = k != 3;
+        let s = &mut r.stats;
+        s.packets = 7 + k;
+        s.queue_lat_sum = 10 + 3 * k;
+        s.net_lat_sum = 100 + 11 * k;
+        s.decode_lat_sum = 2 * k;
+        s.data_flits_injected = 50 + 3 * k;
+        s.baseline_data_flits = 60;
+        s.encode = EncodeStats {
+            words: 160,
+            exact_encoded: 40 + k,
+            approx_encoded: 3 * k,
+            raw: 120 - 4 * k,
+            bits_in: 160 * 32,
+            bits_out: 3000 + 100 * k,
+        };
+        s.quality = QualityAccumulator::from_raw(160, 0.01 * k as f64, 0.05);
+        s.faults.bit_flips = k;
+        s.faults.words_lost = 2 * k;
+        s.faults.bound_checked_words = 160;
+        s.faults.bound_violations = k / 2;
+        let codec = CodecActivity {
+            cam_searches: 5 * k,
+            tcam_searches: 3 * k,
+            table_updates: k,
+            avcl_ops: 2 * k,
+            words_encoded: 16 * k,
+            words_decoded: 16 * k,
+            notifications: k,
+        };
+        let routers = &mut r.activity.routers;
+        routers.buffer_writes = 400 + k;
+        routers.buffer_reads = 400 + k;
+        routers.vc_allocs = 90 + k;
+        routers.crossbar_traversals = 400 + k;
+        routers.link_traversals = 300 + k;
+        r.activity.encoders = codec;
+        r.activity.decoders = codec;
+        r.activity.cycles = 1000;
+        r
+    }
+
+    /// Two benchmarks × [Baseline, FP-VAXX, FP-VAXX-win] of hand-made runs.
+    fn hand_matrix() -> BenchmarkMatrix {
+        let mechs = vec![Mechanism::Baseline, Mechanism::FpVaxx, Mechanism::FpVaxxWin];
+        let row = |k0: u64| {
+            mechs
+                .iter()
+                .zip(k0..)
+                .map(|(m, k)| hand_run(*m, k))
+                .collect()
+        };
+        BenchmarkMatrix {
+            cells: vec![
+                (Benchmark::Blackscholes, row(0)),
+                (Benchmark::Ssca2, row(3)),
+            ],
+            mechs: mechs.clone(),
+        }
+    }
+
+    #[test]
+    fn figure_csv_bytes_are_pinned() {
+        // Captured from the per-figure CSV printers this model replaced.
+        let matrix = hand_matrix();
+        assert_eq!(
+            fig9(&matrix).render(Format::Csv),
+            "benchmark,mechanism,queue_lat,net_lat,decode_lat,total,quality
+blackscholes,Baseline,1.4286,14.2857,0.0000,15.7143,1.000000
+blackscholes,FP-VAXX,1.6250,13.8750,0.2500,15.7500,0.999938
+blackscholes,FP-VAXX-win,1.7778,13.5556,0.4444,15.7778,0.999875
+ssca2,Baseline,1.9000,13.3000,0.6000,15.8000,0.999812
+ssca2,FP-VAXX,2.0000,13.0909,0.7273,15.8182,0.999750
+ssca2,FP-VAXX-win,2.0833,12.9167,0.8333,15.8333,0.999687
+"
+        );
+        assert_eq!(
+            fig10(&matrix).render(Format::Csv),
+            "benchmark,mechanism,exact_fraction,approx_fraction,compression_ratio
+blackscholes,FP-VAXX,0.256250,0.018750,1.651613
+blackscholes,FP-VAXX-win,0.262500,0.037500,1.600000
+ssca2,FP-VAXX,0.275000,0.075000,1.505882
+ssca2,FP-VAXX-win,0.281250,0.093750,1.462857
+"
+        );
+        assert_eq!(
+            fig11(&matrix).render(Format::Csv),
+            "benchmark,mechanism,normalized_data_flits
+blackscholes,Baseline,0.833333
+blackscholes,FP-VAXX,0.883333
+blackscholes,FP-VAXX-win,0.933333
+ssca2,Baseline,0.983333
+ssca2,FP-VAXX,1.033333
+ssca2,FP-VAXX-win,1.083333
+"
+        );
+        assert_eq!(
+            fig15(&matrix).render(Format::Csv),
+            "benchmark,mechanism,normalized_dynamic_power
+blackscholes,Baseline,1.000000
+blackscholes,FP-VAXX,1.008561
+blackscholes,FP-VAXX-win,1.017122
+ssca2,Baseline,1.000000
+ssca2,FP-VAXX,1.008347
+ssca2,FP-VAXX-win,1.016694
+"
+        );
+        let cells = [(0, Some(1)), (100, None), (1000, Some(5))]
+            .into_iter()
+            .map(|(ppm, k)| (ppm, k.map(|k| hand_run(Mechanism::FpVaxx, k))));
+        let failure = CellFailure {
+            index: 1,
+            id: "blackscholes/FP-VAXX".into(),
+            error: anoc_exec::CellError::Failed("watchdog".into()),
+        };
+        let faults = resilience_table(
+            "faults",
+            "Fault-injection sweep".into(),
+            ["flip_ppm", "bit_flips"],
+            |f| f.bit_flips,
+            cells,
+            &[failure],
+        );
+        assert_eq!(
+            faults.render(Format::Csv),
+            "flip_ppm,avg_latency,quality,bit_flips,bound_checked_words,bound_violations
+0,15.75,0.9999375,1,160,0
+100,,,,,
+1000,15.833333333333334,0.9996875,5,160,2
+"
+        );
+        assert_eq!(
+            faults.render(Format::Text),
+            "Fault-injection sweep
+flip_ppm         avg_latency    quality  bit_flips  bound_checked_words  bound_violations
+       0               15.75  0.9999375          1                  160                 0
+     100                   -          -          -                    -                 -
+    1000  15.833333333333334  0.9996875          5                  160                 2
+failed: cell 1 (blackscholes/FP-VAXX) failed: watchdog
+"
+        );
+    }
+
+    /// Asserts that every whitespace-separated column of a text table (the
+    /// lines after its title) starts at one offset on every line, or, for
+    /// right-aligned columns, ends at one.
+    fn assert_aligned(text: &str) {
+        let spans: Vec<Vec<(usize, usize)>> = text
+            .lines()
+            .skip(1)
+            .map(|line| {
+                let mut spans = Vec::new();
+                let mut start = None;
+                for (i, c) in line.chars().chain([' ']).enumerate() {
+                    match (c == ' ', start) {
+                        (false, None) => start = Some(i),
+                        (true, Some(s)) => {
+                            spans.push((s, i));
+                            start = None;
+                        }
+                        _ => {}
+                    }
+                }
+                spans
+            })
+            .collect();
+        for (col, head) in spans[0].iter().enumerate() {
+            let cells: Vec<(usize, usize)> = spans.iter().map(|s| s[col]).collect();
+            assert!(
+                cells.iter().all(|c| c.0 == head.0) || cells.iter().all(|c| c.1 == head.1),
+                "column {col} shifts: {cells:?}\n{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn text_columns_hold_cells_wider_than_their_headers() {
+        let matrix = hand_matrix();
+        for t in [
+            fig9(&matrix),
+            fig10(&matrix),
+            fig11(&matrix),
+            fig15(&matrix),
+        ] {
+            let text = t.render(Format::Text);
+            assert!(text.contains("FP-VAXX-win"));
+            // The notes (fig15's area line) follow the rows; check the table.
+            let table: String = text
+                .lines()
+                .take(1 + 1 + 6)
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_aligned(&table);
+        }
     }
 
     #[test]
     fn fig12_saturates_in_rate_order() {
         let cfg = SystemConfig::paper().with_sim_cycles(1_500);
-        let series = fig12(
+        let series = fig12_series(
             Benchmark::Blackscholes,
             DestPattern::UniformRandom,
             &[0.05, 0.45],
@@ -1564,59 +1287,61 @@ mod tests {
         assert_eq!(series.len(), 5);
         for s in &series {
             assert!(!s.points.is_empty());
+            assert!(s.saturation_rate() >= 0.05);
             // Latency grows (weakly) with offered load.
             if s.points.len() == 2 {
                 assert!(s.points[1].1 >= s.points[0].1 * 0.8);
             }
         }
-        let txt = render_fig12("test UR", &series);
-        assert!(txt.contains("saturation"));
     }
 
     #[test]
     fn sensitivity_sweep_single_benchmark() {
         let cfg = SystemConfig::paper().with_sim_cycles(1_200);
-        let rows = sensitivity_sweep(&cfg, 9, &[Benchmark::Swaptions], &[5, 20], |c, s| {
+        let t = sensitivity_sweep(&cfg, 9, &[Benchmark::Swaptions], &[5, 20], |c, s| {
             c.with_threshold(s)
         });
-        assert_eq!(rows.len(), 2, "one row per codec family");
-        for r in &rows {
-            assert_eq!(r.vaxx_latencies.len(), 2);
-            assert!(r.compression_latency > 0.0);
-            assert!(r.vaxx_latencies.iter().all(|(_, l)| *l > 0.0));
-        }
-        let txt = render_sensitivity("test", &rows);
+        // Per codec family: the compression anchor plus one row per setting.
+        assert_eq!(
+            column(&t, "setting"),
+            ["compression", "5", "20", "compression", "5", "20"]
+        );
+        assert!(numbers(&t, "latency").iter().all(|l| *l > 0.0));
+        let txt = t.render(Format::Text);
         assert!(txt.contains("DI-based") && txt.contains("FP-based"));
-        let csv = sensitivity_csv(&rows);
-        assert!(csv.lines().count() == 1 + 2 * 3, "{csv}");
     }
 
     #[test]
     fn lz_study_audits_bounds_and_reports_all_three_mechanisms() {
         let cfg = SystemConfig::paper().with_sim_cycles(1_500);
-        let rows = lz_study(&cfg, 6, &[10], &[Benchmark::Ssca2, Benchmark::Blackscholes]);
-        assert_eq!(rows.len(), 6, "2 benchmarks x 3 mechanisms");
-        for r in &rows {
-            assert!(r.compression_ratio >= 0.9, "{r:?}");
-            assert!(r.bound_checked_words > 0, "auditor must be armed: {r:?}");
-            assert_eq!(r.bound_violations, 0, "fault-free run violated: {r:?}");
-            assert!(r.quality > 0.9, "{r:?}");
-        }
-        let lz: Vec<_> = rows
+        let t = lz_study(&cfg, 6, &[10], &[Benchmark::Ssca2, Benchmark::Blackscholes]);
+        let mechs = column(&t, "mechanism");
+        assert_eq!(mechs.len(), 6, "2 benchmarks x 3 mechanisms");
+        assert!(numbers(&t, "compression_ratio").iter().all(|r| *r >= 0.9));
+        assert!(
+            numbers(&t, "bound_checked_words").iter().all(|w| *w > 0.0),
+            "auditor must be armed"
+        );
+        assert!(
+            numbers(&t, "bound_violations").iter().all(|v| *v == 0.0),
+            "fault-free run violated"
+        );
+        assert!(numbers(&t, "quality").iter().all(|q| *q > 0.9));
+        let latencies = numbers(&t, "encode_latency_cycles");
+        let lz: Vec<f64> = mechs
             .iter()
-            .filter(|r| r.mechanism == Mechanism::LzVaxx)
+            .zip(latencies)
+            .filter(|(m, _)| *m == "LZ-VAXX")
+            .map(|(_, l)| l)
             .collect();
-        assert_eq!(lz.len(), 2);
-        assert!(lz.iter().all(|r| r.encode_latency_cycles == 4));
+        assert_eq!(lz, [4.0, 4.0]);
 
-        let txt = render_lz(&rows);
+        let txt = t.render(Format::Text);
         assert!(
             txt.contains("LZ-VAXX") && txt.contains("summary: at 10%"),
             "{txt}"
         );
-        let csv = lz_csv(&rows);
-        assert_eq!(csv.lines().count(), 1 + 6);
-        let json = lz_json(&rows);
+        let json = t.render(Format::Json);
         assert!(json.starts_with("{\"study\":\"lz\",\"rows\":["), "{json}");
         assert_eq!(json.matches("\"mechanism\":\"LZ-VAXX\"").count(), 2);
         assert!(json.trim_end().ends_with("]}"), "{json}");

@@ -6,8 +6,10 @@
 //! * [`config`] — [`SystemConfig`] (Table 1 defaults) and the
 //!   [`Mechanism`]s: the paper's five, LZ-VAXX and the extension codecs;
 //! * [`runner`] — the generic traffic → NoC → statistics driver;
-//! * [`experiments`] — one runner per figure (`fig9` … `fig17`) plus text
-//!   renderers producing the same rows/series the paper reports;
+//! * [`experiments`] — one runner per figure (`fig9` … `fig17`), each
+//!   producing the same rows/series the paper reports as a [`table::Table`];
+//! * [`table`] — that one output model and its text, CSV and JSON
+//!   renderers;
 //! * [`campaign`] — the bridge to the `anoc-exec` parallel engine: cell
 //!   content keys, the result-cache codec and the process-wide
 //!   [`campaign::ExecContext`] every figure runner executes on;
@@ -40,6 +42,7 @@ pub mod experiments;
 pub mod persist;
 pub mod power;
 pub mod runner;
+pub mod table;
 
 pub use campaign::ExecContext;
 pub use config::{Mechanism, SystemConfig};
